@@ -322,7 +322,9 @@ let as_const ctx r =
 
 let iop_s ctx op x y =
   match as_const ctx x, as_const ctx y with
-  | Some (Int a), Some (Int b) ->
+  (* a division by a constant zero stays residual: it traps when (and if)
+     it runs, not while staging *)
+  | Some (Int a), Some (Int b) when b <> 0 || (op <> Div && op <> Rem) ->
     lift_const ctx (Int (Vm.Value.iop_apply op a b))
   | _ ->
     let r = emit ctx (Ir.Iop op) [| x; y |] Ir.Tint in
@@ -1813,68 +1815,44 @@ let () =
 let count_deopts = ref 0
 let count_recompiles = ref 0
 
-let compile_graph rt (g : Ir.graph) ~(recompile : unit -> unit) :
-    value array -> value =
-  let base = Lms.Closure_backend.default_hooks rt in
-  let hooks =
-    {
-      base with
-      Lms.Closure_backend.on_exit =
-        (fun se vals ->
-          incr count_deopts;
-          (match se.Ir.se_kind with
-          | `Recompile ->
-            incr count_recompiles;
-            recompile ()
-          | `Interpret -> ());
-          Vm.Interp.resume rt (reconstruct_frames se vals));
-    }
-  in
-  Lms.Closure_backend.compile ~hooks g
+(* Backend hooks for the explicit entry points: side exits count, run the
+   recompilation callback for [`Recompile], and resume interpretation. *)
+let deopt_hooks rt ~(recompile : unit -> unit) =
+  {
+    (Lms.Closure_backend.default_hooks rt) with
+    Lms.Closure_backend.on_exit =
+      (fun se vals ->
+        incr count_deopts;
+        (match se.Ir.se_kind with
+        | `Recompile ->
+          incr count_recompiles;
+          recompile ()
+        | `Interpret -> ());
+        Vm.Interp.resume rt (reconstruct_frames se vals));
+  }
 
-(* typed-kernel compilation with transparent fallback to the boxed backend *)
-let compile_graph_typed rt (g : Ir.graph) ~(recompile : unit -> unit) :
-    value array -> value =
-  let base = Lms.Closure_backend.default_hooks rt in
-  let hooks =
-    {
-      base with
-      Lms.Closure_backend.on_exit =
-        (fun se vals ->
-          incr count_deopts;
-          (match se.Ir.se_kind with
-          | `Recompile ->
-            incr count_recompiles;
-            recompile ()
-          | `Interpret -> ());
-          Vm.Interp.resume rt (reconstruct_frames se vals));
-    }
-  in
-  match Lms.Typed_backend.compile ~hooks g with
-  | fn ->
-    incr Lms.Typed_backend.count_typed;
-    fn
-  | exception Lms.Typed_backend.Fallback reason ->
-    incr Lms.Typed_backend.count_fallback;
-    Lms.Typed_backend.last_fallback := reason;
-    Lms.Closure_backend.compile ~hooks g
+(* Compile a graph with the boxed backend, or with typed lanes falling back
+   to it.  Returns the entry point, the backend that built it and the
+   typed backend's fallback reason, if any. *)
+let compile_graph ?(typed = false) rt (g : Ir.graph) ~recompile =
+  let hooks = deopt_hooks rt ~recompile in
+  if typed then Lms.Typed_backend.compile_or_fallback ~hooks g
+  else (Lms.Closure_backend.compile ~hooks g, "closure", None)
 
 (* graph of the most recent [compile_value], for tests and tooling *)
 let last_graph : Ir.graph option ref = ref None
 
 (* Wrap a tier-0 graph build (the explicit [Lancet.compile] /
    [compile_method] entry points; the tiered path has its own accounting in
-   [Tiering]) with Compile_start/Compile_end events.  Backend choice and
-   fallback reason are recovered from the typed-backend counters. *)
-let obs_compile0 (m : meth) (build : unit -> 'a) : 'a =
-  if not !Obs.enabled then build ()
+   [Tiering]) with Compile_start/Compile_end events.  [build] returns the
+   backend it used and the typed backend's fallback reason. *)
+let obs_compile0 (m : meth) (build : unit -> string * string option) : unit =
+  if not !Obs.enabled then ignore (build ())
   else begin
     let meth = Vm.Runtime.meth_label m and mid = m.mid in
     Obs.emit
       (Obs.Compile_start { meth; mid; tier = 0; worker = Obs.worker_id () });
     let t0 = Obs.now () in
-    let ty0 = !Lms.Typed_backend.count_typed in
-    let fb0 = !Lms.Typed_backend.count_fallback in
     let emit_end backend fallback =
       let nodes_in, nodes_out = !last_node_counts in
       Obs.emit
@@ -1892,14 +1870,7 @@ let obs_compile0 (m : meth) (build : unit -> 'a) : 'a =
            })
     in
     match build () with
-    | v ->
-      let fell = !Lms.Typed_backend.count_fallback > fb0 in
-      let backend =
-        if !Lms.Typed_backend.count_typed > ty0 then "typed" else "closure"
-      in
-      emit_end backend
-        (if fell then Some !Lms.Typed_backend.last_fallback else None);
-      v
+    | backend, fallback -> emit_end backend fallback
     | exception e ->
       emit_end "failed" None;
       raise e
@@ -1924,7 +1895,11 @@ let compile_value ?(opts = default_options) rt (v : value) : value =
         obs_compile0 apply (fun () ->
             let g = stage ~opts rt apply spec in
             last_graph := Some g;
-            cell := compile_graph rt g ~recompile:(fun () -> build ()))
+            let fn, backend, fallback =
+              compile_graph rt g ~recompile:(fun () -> build ())
+            in
+            cell := fn;
+            (backend, fallback))
       in
       build ();
       Vm.Natives.make_compiled_fn rt (fun args -> !cell args))
@@ -1935,13 +1910,15 @@ let compile_value ?(opts = default_options) rt (v : value) : value =
    backend (with automatic fallback). *)
 let compile_method ?(opts = default_options) ?(typed = false) rt (m : meth)
     (spec : arg_spec array) : value array -> value =
-  let backend = if typed then compile_graph_typed else compile_graph in
   let cell = ref (fun _ -> Null) in
+  let install g ~recompile =
+    let fn, backend, fallback = compile_graph ~typed rt g ~recompile in
+    cell := fn;
+    (backend, fallback)
+  in
   obs_compile0 m (fun () ->
       let g = stage ~opts rt m spec in
       last_graph := Some g;
-      cell :=
-        backend rt g ~recompile:(fun () ->
-            let g' = stage ~opts rt m spec in
-            cell := backend rt g' ~recompile:(fun () -> ())));
+      install g ~recompile:(fun () ->
+          ignore (install (stage ~opts rt m spec) ~recompile:(fun () -> ()))));
   fun args -> !cell args

@@ -236,12 +236,9 @@ let compile_method_dyn rt (m : meth) :
               Vm.Interp.resume rt (C.reconstruct_frames se vals));
         }
       in
-      (* prefer the unboxed kernel backend (hot loops are why we are here);
-         it raises [Fallback] on graphs it cannot handle *)
-      match Lms.Typed_backend.compile ~hooks g with
-      | fn -> (fn, "typed", None)
-      | exception Lms.Typed_backend.Fallback reason ->
-        (Lms.Closure_backend.compile ~hooks g, "closure", Some reason)
+      (* prefer the unboxed kernel backend (hot loops are why we are here),
+         falling back to the boxed one on graphs it cannot handle *)
+      Lms.Typed_backend.compile_or_fallback ~hooks g
     with
     | fn, backend, fallback ->
       cell := fn;

@@ -271,9 +271,19 @@ let op_key op args =
   Buffer.contents b
 
 (* Remove pure nodes whose results are never used.  Uses are scanned from
-   node arguments, terminators and side-exit frame descriptors. *)
+   node arguments, terminators and side-exit frame descriptors.  An integer
+   division by anything but a nonzero constant may trap, so it stays even
+   when its result is dead. *)
 let dead_code_elim g =
   let used = Hashtbl.create 64 in
+  let kept n =
+    n.eff
+    ||
+    match n.op with
+    | Iop (Vm.Types.Div | Vm.Types.Rem) -> (
+      match (node g n.args.(1)).op with Konst (Vm.Types.Int d) -> d = 0 | _ -> true)
+    | _ -> false
+  in
   let changed = ref true in
   (* marking an unmarked sym must trigger another pass: uses may sit in an
      earlier block than the terminator or node that marked them *)
@@ -305,7 +315,7 @@ let dead_code_elim g =
         | Unreachable _ -> ());
         List.iter
           (fun n ->
-            if n.eff || Hashtbl.mem used n.id then Array.iter mark n.args)
+            if kept n || Hashtbl.mem used n.id then Array.iter mark n.args)
           b.body)
       blocks
   done;
@@ -325,5 +335,5 @@ let dead_code_elim g =
                    (Irtrace.Dce_kept_effectful { op = op_tag n.op })
                | None -> ())
            b.body);
-      b.body <- List.filter (fun n -> n.eff || Hashtbl.mem used n.id) b.body)
+      b.body <- List.filter (fun n -> kept n || Hashtbl.mem used n.id) b.body)
     blocks

@@ -1,9 +1,35 @@
 (* A second, type-specialized execution backend: the analogue of Delite's
-   kernel code generation.  Symbols whose IR type is int/bool or float live
-   in unboxed register lanes (an [int array] / [float array]); only
-   genuinely dynamic values are boxed.  For numeric kernels this removes
-   per-operation allocation entirely, which is where the paper's generated
-   kernels get their edge over library bytecode. *)
+   kernel code generation.  Symbols whose value is an int/bool or a float
+   live in unboxed register lanes (an [int array] / [float array]); only
+   genuinely dynamic values are boxed.
+
+   Why operands are slots, not getters.  Without flambda, OCaml boxes a
+   float that is returned from a closure or passed to one: a getter
+   [regs -> float] allocates a [Float] block on every read, and a setter
+   taking a float allocates on every write.  So every operand is resolved
+   at compile time to a [(lane, slot)] pair, and each op is one closure that
+   indexes [r.ints]/[r.floats]/[r.vals] directly, e.g.
+   [fun r -> let f = r.floats in f.(d) <- f.(a) +. f.(b)].  Float array
+   reads and writes through a statically typed [float array] never box.
+
+   - Constants live in constant slots, pre-filled when a register file is
+     created; an op never distinguishes a constant operand from a computed
+     one.
+   - A read from another lane ([Lval] as int/float, [Lint] as float) is an
+     explicit coercion step that moves the value into a temporary slot of
+     the wanted lane just before its first use in a straight-line run of
+     steps (a superblock); later uses in the run reuse it.  Ops themselves
+     read only their own lane, so each op has exactly one code path.
+   - Branch conditions fused into their [Br] specialize on the condition
+     code at compile time ([x.(a) < x.(b)] on an [int array] or a
+     [float array]): no generic [cond_apply] call, which would box floats.
+   - Block-parameter copies are slot-to-slot moves.  When a destination is
+     also a source of the same jump (a loop-carried swap), every source
+     first moves into a fresh scratch slot of its destination lane, then the
+     scratch slots move into the destinations: no allocated temporaries.
+
+   Boxing remains only where the ABI needs a [value]: call arguments,
+   side-exit frames, [Ret], and stores of unboxed values into the heap. *)
 
 open Ir
 module CB = Closure_backend
@@ -21,17 +47,93 @@ type regs = {
   vals : Vm.Types.value array;
 }
 
+(* raised during compilation when a node cannot be handled; callers fall
+   back to the boxed backend *)
 exception Fallback of string
 
 (* raised by a spliced guard step on the miss path, after running the side
    exit and storing its result; the kernel entry catches it *)
 exception Guard_miss
 
-let count_typed = ref 0
-let count_fallback = ref 0
-let last_fallback = ref ""
-(* raised during compilation when a node cannot be handled; callers fall
-   back to the boxed backend *)
+type step = regs -> unit
+
+(* one straight-line run of steps, without allocation *)
+let seq (steps : step array) : step =
+  match steps with
+  | [||] -> fun _ -> ()
+  | [| s |] -> s
+  | [| s0; s1 |] ->
+    fun r ->
+      s0 r;
+      s1 r
+  | _ ->
+    let last = Array.length steps - 1 in
+    fun r ->
+      for j = 0 to last do
+        steps.(j) r
+      done
+
+(* Move slot [si] of lane [sl] into slot [di] of lane [dl], coercing across
+   lanes exactly as the boxed backend's value accessors do. *)
+let move (sl, si) (dl, di) : step =
+  match (sl, dl) with
+  | Lint, Lint ->
+    fun r ->
+      let x = r.ints in
+      x.(di) <- x.(si)
+  | Lfloat, Lfloat ->
+    fun r ->
+      let x = r.floats in
+      x.(di) <- x.(si)
+  | Lval, Lval ->
+    fun r ->
+      let x = r.vals in
+      x.(di) <- x.(si)
+  | Lint, Lfloat -> fun r -> r.floats.(di) <- float_of_int r.ints.(si)
+  | Lval, Lint -> fun r -> r.ints.(di) <- Vm.Value.to_int r.vals.(si)
+  | Lval, Lfloat -> fun r -> r.floats.(di) <- Vm.Value.to_float r.vals.(si)
+  | Lint, Lval -> fun r -> r.vals.(di) <- Vm.Types.Int r.ints.(si)
+  | Lfloat, Lval -> fun r -> r.vals.(di) <- Vm.Types.Float r.floats.(si)
+  | Lfloat, Lint -> raise (Fallback "float used as int")
+
+(* compare conditions, specialized on the condition code at compile time *)
+let icond (c : Vm.Types.cond) a b : regs -> bool =
+  match c with
+  | Eq -> fun r -> r.ints.(a) = r.ints.(b)
+  | Ne -> fun r -> r.ints.(a) <> r.ints.(b)
+  | Lt -> fun r -> r.ints.(a) < r.ints.(b)
+  | Le -> fun r -> r.ints.(a) <= r.ints.(b)
+  | Gt -> fun r -> r.ints.(a) > r.ints.(b)
+  | Ge -> fun r -> r.ints.(a) >= r.ints.(b)
+
+let fcond (c : Vm.Types.cond) a b : regs -> bool =
+  match c with
+  | Eq -> fun r -> r.floats.(a) = r.floats.(b)
+  | Ne -> fun r -> r.floats.(a) <> r.floats.(b)
+  | Lt -> fun r -> r.floats.(a) < r.floats.(b)
+  | Le -> fun r -> r.floats.(a) <= r.floats.(b)
+  | Gt -> fun r -> r.floats.(a) > r.floats.(b)
+  | Ge -> fun r -> r.floats.(a) >= r.floats.(b)
+
+let cid_of = function
+  | Vm.Types.Obj o -> o.Vm.Types.ocls.Vm.Types.cid
+  | _ -> -1
+
+(* the lane an op's result lives in: arithmetic and compares by op, the rest
+   by IR type; graph parameters always come in boxed *)
+let result_lane n =
+  match n.op with
+  | Iop _ | Ineg | F2i | Icmp _ | Fcmp _ | IsNull | ClassId | Alen -> Lint
+  | Fop _ | Fneg | I2f | Faload -> Lfloat
+  | Param _ -> Lval
+  | _ -> lane_of_ty n.ty
+
+(* a straight-line run of steps under construction, with the coercions
+   already made in it *)
+type superblock = {
+  mutable steps : step list; (* reversed *)
+  coerced : (sym * lane, int) Hashtbl.t;
+}
 
 let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let open Vm.Types in
@@ -39,113 +141,111 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
   let rt = hooks.CB.rt in
   let blocks = reachable_blocks g in
   (* slot assignment per lane *)
-  let slots : (sym, lane * int) Hashtbl.t = Hashtbl.create 64 in
   let counts = [| 0; 0; 0 |] in
-  let lane_idx = function Lint -> 0 | Lfloat -> 1 | Lval -> 2 in
-  let assign s lane =
-    if not (Hashtbl.mem slots s) then begin
-      let i = counts.(lane_idx lane) in
-      counts.(lane_idx lane) <- i + 1;
-      Hashtbl.replace slots s (lane, i)
-    end
+  let fresh lane =
+    let k = match lane with Lint -> 0 | Lfloat -> 1 | Lval -> 2 in
+    let i = counts.(k) in
+    counts.(k) <- i + 1;
+    i
   in
-  (* graph parameters always come in boxed; give them val slots *)
+  let slots : (sym, lane * int) Hashtbl.t = Hashtbl.create 64 in
+  let assign s lane =
+    if not (Hashtbl.mem slots s) then Hashtbl.replace slots s (lane, fresh lane)
+  in
   List.iter
     (fun b ->
       List.iter (fun (s, ty) -> assign s (lane_of_ty ty)) b.params;
       List.iter
         (fun n ->
-          match n.op with
-          | Konst _ -> ()
-          | Param _ -> assign n.id Lval
-          | _ -> assign n.id (lane_of_ty n.ty))
+          match n.op with Konst _ -> () | _ -> assign n.id (result_lane n))
         (body_in_order b))
     blocks;
-  let slot_of s =
-    (* graph parameters are floating nodes: give them boxed slots on demand *)
-    (match (node g s).op with
-    | Param _ -> assign s Lval
-    | _ -> ());
+  (* where a computed symbol lives; graph parameters are floating nodes and
+     get their boxed slots on demand *)
+  let loc s =
+    (match (node g s).op with Param _ -> assign s Lval | _ -> ());
     match Hashtbl.find_opt slots s with
     | Some x -> x
     | None -> raise (Fallback (Printf.sprintf "unassigned sym %d" s))
   in
-  (* typed getters; cross-lane reads coerce through the boxed value *)
-  let node_of s = node g s in
-  let get_int s : regs -> int =
-    let n = node_of s in
-    match n.op with
-    | Konst (Int i) -> fun _ -> i
-    | Konst v -> fun _ -> Vm.Value.to_int v
-    | _ -> (
-      match slot_of s with
-      | Lint, i -> fun r -> r.ints.(i)
-      | Lval, i -> fun r -> Vm.Value.to_int r.vals.(i)
-      | Lfloat, _ -> raise (Fallback "float used as int"))
+  (* constant slots, one per (constant, lane), written into every fresh
+     register file by [prefill] *)
+  let const_slots : (sym * lane, int) Hashtbl.t = Hashtbl.create 16 in
+  let prefill : step list ref = ref [] in
+  let const_slot s lane v =
+    match Hashtbl.find_opt const_slots (s, lane) with
+    | Some i -> i
+    | None ->
+      let i = fresh lane in
+      let fill : step =
+        match (lane, v) with
+        | Lint, Int k -> fun r -> r.ints.(i) <- k
+        | Lfloat, Float f -> fun r -> r.floats.(i) <- f
+        | Lfloat, Int k ->
+          let f = float_of_int k in
+          fun r -> r.floats.(i) <- f
+        | Lval, v -> fun r -> r.vals.(i) <- v
+        | (Lint | Lfloat), _ -> raise (Fallback "constant of the wrong kind")
+      in
+      Hashtbl.replace const_slots (s, lane) i;
+      prefill := fill :: !prefill;
+      i
   in
-  let get_float s : regs -> float =
-    let n = node_of s in
-    match n.op with
-    | Konst (Float f) -> fun _ -> f
-    | Konst (Int i) -> fun _ -> float_of_int i
-    | Konst v -> fun _ -> Vm.Value.to_float v
-    | _ -> (
-      match slot_of s with
-      | Lfloat, i -> fun r -> r.floats.(i)
-      | Lval, i -> fun r -> Vm.Value.to_float r.vals.(i)
-      | Lint, i -> fun r -> float_of_int r.ints.(i))
+  (* where to read [s] from when [lane] is wanted: constants are
+     materialized in [lane] itself *)
+  let src s lane =
+    match (node g s).op with
+    | Konst v -> (lane, const_slot s lane v)
+    | _ -> loc s
   in
-  let get_val s : regs -> value =
-    let n = node_of s in
-    match n.op with
+  (* the slot of [lane] holding [s] at this point of [sb]; a cross-lane
+     read adds a coercion step the first time *)
+  let operand sb lane s =
+    match src s lane with
+    | l, i when l = lane -> i
+    | from -> (
+      match Hashtbl.find_opt sb.coerced (s, lane) with
+      | Some t -> t
+      | None ->
+        let t = fresh lane in
+        sb.steps <- move from (lane, t) :: sb.steps;
+        Hashtbl.replace sb.coerced (s, lane) t;
+        t)
+  in
+  (* ABI boundary: [s] as a boxed value, evaluated only when the boundary
+     is crossed (calls, side exits, return) *)
+  let boxed s : regs -> value =
+    match (node g s).op with
     | Konst v -> fun _ -> v
     | _ -> (
-      match slot_of s with
+      match loc s with
       | Lval, i -> fun r -> r.vals.(i)
       | Lint, i -> fun r -> Int r.ints.(i)
       | Lfloat, i -> fun r -> Float r.floats.(i))
   in
-  let get_farr s : regs -> float array =
-    let gv = get_val s in
-    fun r -> Vm.Value.to_farr (gv r)
+  let boxed_all syms : regs -> value array =
+    let bs = Array.map boxed syms in
+    let n = Array.length bs in
+    fun r ->
+      let a = Array.make n Null in
+      for j = 0 to n - 1 do
+        a.(j) <- bs.(j) r
+      done;
+      a
   in
-  (* store the result of node [s] *)
-  let set_int s =
-    match slot_of s with
-    | Lint, i -> fun (r : regs) (v : int) -> r.ints.(i) <- v
-    | Lval, i -> fun r v -> r.vals.(i) <- Int v
-    | Lfloat, _ -> raise (Fallback "int result in float slot")
-  in
-  let set_float s =
-    match slot_of s with
-    | Lfloat, i -> fun (r : regs) (v : float) -> r.floats.(i) <- v
-    | Lval, i -> fun r v -> r.vals.(i) <- Float v
-    | Lint, _ -> raise (Fallback "float result in int slot")
-  in
-  let set_val s =
-    match slot_of s with
-    | Lval, i -> fun (r : regs) (v : value) -> r.vals.(i) <- v
-    | Lint, i -> fun r v -> r.ints.(i) <- Vm.Value.to_int v
-    | Lfloat, i -> fun r v -> r.floats.(i) <- Vm.Value.to_float v
-  in
-  (* float fast paths for pure math natives *)
-  let math_fast (m : Vm.Types.meth) : (float -> float) option =
-    match m.mcode with
-    | Native (name, _) -> (
-      match name with
-      | "Math.sqrt" -> Some sqrt
-      | "Math.exp" -> Some exp
-      | "Math.log" -> Some log
-      | "Math.fabs" -> Some abs_float
-      | _ -> None)
-    | Bytecode _ -> None
+  (* store a boxed result into [n]'s slot, unboxing into its lane *)
+  let vstore n (f : regs -> value) : step =
+    match loc n.id with
+    | Lval, d -> fun r -> r.vals.(d) <- f r
+    | Lint, d -> fun r -> r.ints.(d) <- Vm.Value.to_int (f r)
+    | Lfloat, d -> fun r -> r.floats.(d) <- Vm.Value.to_float (f r)
   in
   (* Branch-condition fusion, as in the boxed backend: a comparison whose
      only consumer is its own block's Br — and a ClassId feeding such a
-     comparison — compiles into the branch closure instead of becoming a
-     step, so a devirtualization guard is a bare compare-and-branch.
-     Same-block single-use only, which keeps the pure condition's
-     evaluation inside its original block. *)
+     comparison — compiles into the branch instead of becoming a step, so
+     a devirtualization guard is a bare compare-and-branch.  Same-block
+     single-use only, which keeps the pure condition's evaluation inside
+     its original block. *)
   let uses = Hashtbl.create 64 in
   let defined_in = Hashtbl.create 64 in
   let add_use s =
@@ -175,71 +275,36 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       | Unreachable _ -> ())
     blocks;
   let fused = Hashtbl.create 8 in
-  (* a fused condition keeps its shape so the guard-splicing pass below can
-     build a single-closure guard for the devirtualization pattern *)
-  let fused_conds
-      : (int, [ `Gen of regs -> bool | `Cid_eq of (regs -> value) * int ])
-        Hashtbl.t =
-    Hashtbl.create 8
-  in
   let fusable bid s =
     Hashtbl.find_opt uses s = Some 1 && Hashtbl.find_opt defined_in s = Some bid
   in
+  let is_classid s = match (node g s).op with ClassId -> true | _ -> false in
   List.iter
     (fun b ->
       match b.term with
       | Br (c, _, _) when fusable b.bid c -> (
-        let n = node g c in
-        let int_arg s =
-          let m = node g s in
-          match m.op with
-          | ClassId when fusable b.bid s ->
-            let a = get_val m.args.(0) in
-            Hashtbl.replace fused s ();
-            fun r ->
-              (match a r with
-              | Obj o -> o.Vm.Types.ocls.Vm.Types.cid
-              | _ -> -1)
-          | _ -> get_int s
-        in
-        match n.op with
-        | Icmp Vm.Types.Eq
-          when (match (node g n.args.(0)).op with
-               | ClassId -> fusable b.bid n.args.(0)
-               | _ -> false)
-               && (match (node g n.args.(1)).op with
-                  | Konst (Int _) -> true
-                  | _ -> false) ->
-          (* the devirtualization guard shape, classid(x) == const: one
-             closure, no nested calls *)
-          let m = node g n.args.(0) in
-          let a = get_val m.args.(0) in
-          let k =
-            match (node g n.args.(1)).op with
-            | Konst (Int k) -> k
-            | _ -> assert false
-          in
-          Hashtbl.replace fused m.id ();
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid (`Cid_eq (a, k))
-        | Icmp cc ->
-          let a = int_arg n.args.(0) and b' = int_arg n.args.(1) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid
-            (`Gen (fun r -> Vm.Value.cond_apply cc (a r) (b' r)))
-        | Fcmp cc ->
-          let a = get_float n.args.(0) and b' = get_float n.args.(1) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid
-            (`Gen (fun r -> Vm.Value.fcond_apply cc (a r) (b' r)))
-        | IsNull ->
-          let a = get_val n.args.(0) in
-          Hashtbl.replace fused c ();
-          Hashtbl.replace fused_conds b.bid
-            (`Gen (fun r -> match a r with Null -> true | _ -> false))
+        match (node g c).op with
+        | Icmp _ ->
+          Array.iter
+            (fun s ->
+              if is_classid s && fusable b.bid s then Hashtbl.replace fused s ())
+            (node g c).args;
+          Hashtbl.replace fused c ()
+        | Fcmp _ | IsNull -> Hashtbl.replace fused c ()
         | _ -> ())
       | _ -> ())
     blocks;
+  (* the devirtualization guard shape, classid(x) == const, fused: the
+     receiver and the class id *)
+  let cid_eq c =
+    if not (Hashtbl.mem fused c) then None
+    else
+      let n = node g c in
+      match (n.op, (node g n.args.(0)).op, (node g n.args.(1)).op) with
+      | Icmp Eq, ClassId, Konst (Int k) when Hashtbl.mem fused n.args.(0) ->
+        Some ((node g n.args.(0)).args.(0), k)
+      | _ -> None
+  in
   (* Irtrace: report branch compares that could not fuse, and snapshot the
      post-guard-lowering shape with fused nodes eliminated. *)
   if !Irtrace.on then begin
@@ -270,212 +335,218 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     Snapshot.take g (Phases.Guards "typed") ~exclude:(Hashtbl.mem fused)
       ~meta:[ ("fused", string_of_int (Hashtbl.length fused)) ]
   end;
-  let compile_node n : (regs -> unit) option =
-    if Hashtbl.mem fused n.id then None
-    else
+  let compile_op sb n =
+    let arg k lane = operand sb lane n.args.(k) in
+    let emit (st : step) = sb.steps <- st :: sb.steps in
+    let dst () = snd (loc n.id) in
     match n.op with
-    | Konst _ | Param _ | Bparam -> None
+    | Konst _ | Param _ | Bparam -> ()
     | Iop op ->
-      let a = get_int n.args.(0) and b = get_int n.args.(1) in
-      let st = set_int n.id in
-      Some
+      let a = arg 0 Lint in
+      let b = arg 1 Lint in
+      let d = dst () in
+      emit
         (match op with
-        | Vm.Types.Add -> fun r -> st r (Vm.Value.wrap32 (a r + b r))
-        | Vm.Types.Sub -> fun r -> st r (Vm.Value.wrap32 (a r - b r))
-        | Vm.Types.Mul -> fun r -> st r (Vm.Value.wrap32 (a r * b r))
-        | _ -> fun r -> st r (Vm.Value.iop_apply op (a r) (b r)))
+        | Add ->
+          fun r ->
+            let x = r.ints in
+            x.(d) <- Vm.Value.wrap32 (x.(a) + x.(b))
+        | Sub ->
+          fun r ->
+            let x = r.ints in
+            x.(d) <- Vm.Value.wrap32 (x.(a) - x.(b))
+        | Mul ->
+          fun r ->
+            let x = r.ints in
+            x.(d) <- Vm.Value.wrap32 (x.(a) * x.(b))
+        | _ ->
+          fun r ->
+            let x = r.ints in
+            x.(d) <- Vm.Value.iop_apply op x.(a) x.(b))
     | Ineg ->
-      let a = get_int n.args.(0) in
-      let st = set_int n.id in
-      Some (fun r -> st r (Vm.Value.wrap32 (-a r)))
+      let a = arg 0 Lint and d = dst () in
+      emit (fun r ->
+          let x = r.ints in
+          x.(d) <- Vm.Value.wrap32 (-x.(a)))
     | Fop op ->
-      let a = get_float n.args.(0) and b = get_float n.args.(1) in
-      let st = set_float n.id in
-      Some
+      let a = arg 0 Lfloat in
+      let b = arg 1 Lfloat in
+      let d = dst () in
+      emit
         (match op with
-        | Vm.Types.FAdd -> fun r -> st r (a r +. b r)
-        | Vm.Types.FSub -> fun r -> st r (a r -. b r)
-        | Vm.Types.FMul -> fun r -> st r (a r *. b r)
-        | Vm.Types.FDiv -> fun r -> st r (a r /. b r))
+        | FAdd ->
+          fun r ->
+            let f = r.floats in
+            f.(d) <- f.(a) +. f.(b)
+        | FSub ->
+          fun r ->
+            let f = r.floats in
+            f.(d) <- f.(a) -. f.(b)
+        | FMul ->
+          fun r ->
+            let f = r.floats in
+            f.(d) <- f.(a) *. f.(b)
+        | FDiv ->
+          fun r ->
+            let f = r.floats in
+            f.(d) <- f.(a) /. f.(b))
     | Fneg ->
-      let a = get_float n.args.(0) in
-      let st = set_float n.id in
-      Some (fun r -> st r (-.a r))
+      let a = arg 0 Lfloat and d = dst () in
+      emit (fun r ->
+          let f = r.floats in
+          f.(d) <- -.f.(a))
     | I2f ->
-      let a = get_int n.args.(0) in
-      let st = set_float n.id in
-      Some (fun r -> st r (float_of_int (a r)))
+      let a = arg 0 Lint and d = dst () in
+      emit (fun r -> r.floats.(d) <- float_of_int r.ints.(a))
     | F2i ->
-      let a = get_float n.args.(0) in
-      let st = set_int n.id in
-      Some (fun r -> st r (Vm.Value.wrap32 (int_of_float (a r))))
+      let a = arg 0 Lfloat and d = dst () in
+      emit (fun r -> r.ints.(d) <- Vm.Value.wrap32 (int_of_float r.floats.(a)))
     | Icmp c ->
-      let a = get_int n.args.(0) and b = get_int n.args.(1) in
-      let st = set_int n.id in
-      Some (fun r -> st r (if Vm.Value.cond_apply c (a r) (b r) then 1 else 0))
+      let a = arg 0 Lint in
+      let t = icond c a (arg 1 Lint) and d = dst () in
+      emit (fun r -> r.ints.(d) <- (if t r then 1 else 0))
     | Fcmp c ->
-      let a = get_float n.args.(0) and b = get_float n.args.(1) in
-      let st = set_int n.id in
-      Some (fun r -> st r (if Vm.Value.fcond_apply c (a r) (b r) then 1 else 0))
+      let a = arg 0 Lfloat in
+      let t = fcond c a (arg 1 Lfloat) and d = dst () in
+      emit (fun r -> r.ints.(d) <- (if t r then 1 else 0))
     | IsNull ->
-      let a = get_val n.args.(0) in
-      let st = set_int n.id in
-      Some (fun r -> st r (match a r with Null -> 1 | _ -> 0))
+      let a = arg 0 Lval and d = dst () in
+      emit (fun r -> r.ints.(d) <- (match r.vals.(a) with Null -> 1 | _ -> 0))
     | ClassId ->
-      let a = get_val n.args.(0) in
-      let st = set_int n.id in
-      Some
-        (fun r ->
-          st r (match a r with Obj o -> o.Vm.Types.ocls.Vm.Types.cid | _ -> -1))
+      let a = arg 0 Lval and d = dst () in
+      emit (fun r -> r.ints.(d) <- cid_of r.vals.(a))
     | Getfield f ->
-      let a = get_val n.args.(0) in
-      let st = set_val n.id in
-      let i = f.fidx in
-      Some (fun r -> st r (Vm.Value.to_obj (a r)).ofields.(i))
+      let a = arg 0 Lval and i = f.fidx in
+      emit (vstore n (fun r -> (Vm.Value.to_obj r.vals.(a)).ofields.(i)))
     | Putfield f ->
-      let a = get_val n.args.(0) and v = get_val n.args.(1) in
-      let i = f.fidx in
-      Some (fun r -> (Vm.Value.to_obj (a r)).ofields.(i) <- v r)
-    | Getglobal gi ->
-      let st = set_val n.id in
-      Some (fun r -> st r (Vm.Runtime.get_global rt gi))
+      let a = arg 0 Lval in
+      let v = arg 1 Lval and i = f.fidx in
+      emit (fun r ->
+          let x = r.vals in
+          (Vm.Value.to_obj x.(a)).ofields.(i) <- x.(v))
+    | Getglobal gi -> emit (vstore n (fun _ -> Vm.Runtime.get_global rt gi))
     | Putglobal gi ->
-      let v = get_val n.args.(0) in
-      Some (fun r -> Vm.Runtime.set_global rt gi (v r))
-    | NewObj cls ->
-      let st = set_val n.id in
-      Some (fun r -> st r (Obj (Vm.Runtime.alloc rt cls)))
+      let v = arg 0 Lval in
+      emit (fun r -> Vm.Runtime.set_global rt gi r.vals.(v))
+    | NewObj cls -> emit (vstore n (fun _ -> Obj (Vm.Runtime.alloc rt cls)))
     | Newarr ->
-      let a = get_int n.args.(0) in
-      let st = set_val n.id in
-      Some (fun r -> st r (Arr (Array.make (a r) Null)))
+      let a = arg 0 Lint in
+      emit (vstore n (fun r -> Arr (Array.make r.ints.(a) Null)))
     | Newfarr ->
-      let a = get_int n.args.(0) in
-      let st = set_val n.id in
-      Some (fun r -> st r (Farr (Array.make (a r) 0.0)))
+      let a = arg 0 Lint in
+      emit (vstore n (fun r -> Farr (Array.make r.ints.(a) 0.0)))
     | Aload ->
-      let a = get_val n.args.(0) and i = get_int n.args.(1) in
-      let st = set_val n.id in
-      Some (fun r -> st r (Vm.Value.to_arr (a r)).(i r))
+      let a = arg 0 Lval in
+      let i = arg 1 Lint in
+      emit (vstore n (fun r -> (Vm.Value.to_arr r.vals.(a)).(r.ints.(i))))
     | Astore ->
-      let a = get_val n.args.(0)
-      and i = get_int n.args.(1)
-      and v = get_val n.args.(2) in
-      Some (fun r -> (Vm.Value.to_arr (a r)).(i r) <- v r)
+      let a = arg 0 Lval in
+      let i = arg 1 Lint in
+      let v = arg 2 Lval in
+      emit (fun r ->
+          let x = r.vals in
+          (Vm.Value.to_arr x.(a)).(r.ints.(i)) <- x.(v))
     | Faload ->
-      let a = get_farr n.args.(0) and i = get_int n.args.(1) in
-      let st = set_float n.id in
-      Some (fun r -> st r (a r).(i r))
+      let a = arg 0 Lval in
+      let i = arg 1 Lint and d = dst () in
+      emit (fun r -> r.floats.(d) <- (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)))
     | Fastore ->
-      let a = get_farr n.args.(0)
-      and i = get_int n.args.(1)
-      and v = get_float n.args.(2) in
-      Some (fun r -> (a r).(i r) <- v r)
+      let a = arg 0 Lval in
+      let i = arg 1 Lint in
+      let v = arg 2 Lfloat in
+      emit (fun r -> (Vm.Value.to_farr r.vals.(a)).(r.ints.(i)) <- r.floats.(v))
     | Alen ->
-      let a = get_val n.args.(0) in
-      let st = set_int n.id in
-      Some
-        (fun r ->
-          st r
-            (match a r with
+      let a = arg 0 Lval and d = dst () in
+      emit (fun r ->
+          r.ints.(d) <-
+            (match r.vals.(a) with
             | Arr x -> Array.length x
             | Farr x -> Array.length x
             | _ -> vm_error "alen"))
+    | CallStatic
+        {
+          mcode =
+            Native
+              (("Math.sqrt" | "Math.exp" | "Math.log" | "Math.fabs") as name, _);
+          _;
+        }
+      when Array.length n.args = 1 && fst (loc n.id) = Lfloat ->
+      (* pure float math natives run in place, unboxed *)
+      let a = arg 0 Lfloat and d = dst () in
+      emit
+        (match name with
+        | "Math.sqrt" -> fun r -> r.floats.(d) <- sqrt r.floats.(a)
+        | "Math.exp" -> fun r -> r.floats.(d) <- exp r.floats.(a)
+        | "Math.log" -> fun r -> r.floats.(d) <- log r.floats.(a)
+        | _ -> fun r -> r.floats.(d) <- abs_float r.floats.(a))
     | CallStatic m -> (
-      match math_fast m, n.args with
-      | Some f, [| x |] ->
-        let a = get_float x in
-        let st = set_float n.id in
-        Some (fun r -> st r (f (a r)))
-      | _ ->
-        let gs = Array.map get_val n.args in
-        let st = set_val n.id in
-        (match m.mcode with
-        | Native (_, fn) ->
-          Some (fun r -> st r (fn rt (Array.map (fun gv -> gv r) gs)))
-        | Bytecode _ ->
-          let call = hooks.CB.call_static in
-          Some (fun r -> st r (call m (Array.map (fun gv -> gv r) gs)))))
+      let args = boxed_all n.args in
+      match m.mcode with
+      | Native (_, fn) -> emit (vstore n (fun r -> fn rt (args r)))
+      | Bytecode _ ->
+        let call = hooks.CB.call_static in
+        emit (vstore n (fun r -> call m (args r))))
     | CallVirtual (name, _) ->
-      let gs = Array.map get_val n.args in
-      let st = set_val n.id in
+      let args = boxed_all n.args in
       let call = hooks.CB.call_virtual in
-      Some (fun r -> st r (call name (Array.map (fun gv -> gv r) gs)))
+      emit (vstore n (fun r -> call name (args r)))
     | CallClosure _ ->
-      let gs = Array.map get_val n.args in
-      let st = set_val n.id in
+      let f = boxed n.args.(0) in
+      let args = boxed_all (Array.sub n.args 1 (Array.length n.args - 1)) in
       let call = hooks.CB.call_closure in
-      Some
-        (fun r ->
-          let vs = Array.map (fun gv -> gv r) gs in
-          st r (call vs.(0) (Array.sub vs 1 (Array.length vs - 1))))
+      emit (vstore n (fun r -> call (f r) (args r)))
     | Ext _ -> raise (Fallback "extension op in typed kernel")
   in
-  (* jumps: copy args into param slots with lane coercion *)
-  let bindex = Hashtbl.create 16 in
-  List.iteri (fun i b -> Hashtbl.replace bindex b.bid i) blocks;
-  let idx_of bid = Hashtbl.find bindex bid in
-  let compile_jump (t : target) : regs -> unit =
-    let dsts = (block g t.tblock).params in
-    let dst_slots = List.map (fun (ps, _) -> slot_of ps) dsts in
-    let src_slot i =
-      let src = t.targs.(i) in
-      match (node g src).op with
-      | Konst _ -> None
-      | _ -> Some (slot_of src)
-    in
-    let conflict =
-      List.exists
-        (fun i ->
-          match src_slot i with
-          | Some sl -> List.mem sl dst_slots
-          | None -> false)
-        (List.init (Array.length t.targs) Fun.id)
-    in
-    let copies =
+  let compile_node sb n = if not (Hashtbl.mem fused n.id) then compile_op sb n in
+  (* a branch condition, its operands resolved in [sb] *)
+  let cond sb c : regs -> bool =
+    match cid_eq c with
+    | Some (recv, k) ->
+      let a = operand sb Lval recv in
+      fun r -> cid_of r.vals.(a) = k
+    | None when Hashtbl.mem fused c -> (
+      let n = node g c in
+      match n.op with
+      | Icmp cc ->
+        (* a fused class id feeding a general compare is computed right
+           before the branch *)
+        Array.iter
+          (fun s -> if Hashtbl.mem fused s then compile_op sb (node g s))
+          n.args;
+        let a = operand sb Lint n.args.(0) in
+        icond cc a (operand sb Lint n.args.(1))
+      | Fcmp cc ->
+        let a = operand sb Lfloat n.args.(0) in
+        fcond cc a (operand sb Lfloat n.args.(1))
+      | _ ->
+        let a = operand sb Lval n.args.(0) in
+        fun r -> (match r.vals.(a) with Null -> true | _ -> false))
+    | None ->
+      let i = operand sb Lint c in
+      fun r -> r.ints.(i) <> 0
+  in
+  (* block-parameter copies of a jump: direct moves, or a two-phase copy
+     through scratch slots when a destination is also a source *)
+  let jump_moves (t : target) : step array =
+    let pairs =
       List.mapi
-        (fun i (ps, _) ->
-          let src = t.targs.(i) in
-          match slot_of ps with
-          | Lint, d ->
-            let gi = get_int src in
-            fun (r : regs) -> r.ints.(d) <- gi r
-          | Lfloat, d ->
-            let gf = get_float src in
-            fun r -> r.floats.(d) <- gf r
-          | Lval, d ->
-            let gv = get_val src in
-            fun r -> r.vals.(d) <- gv r)
-        dsts
+        (fun k (ps, _) ->
+          let d = loc ps in
+          (src t.targs.(k) (fst d), d))
+        (block g t.tblock).params
+      |> List.filter (fun (s, d) -> s <> d)
     in
-    if not conflict then fun r -> List.iter (fun cp -> cp r) copies
-    else begin
-      (* parallel copy: gather into per-call temporaries, then write *)
-      let gathers =
-        List.mapi
-          (fun i (ps, _) ->
-            let src = t.targs.(i) in
-            match slot_of ps with
-            | Lint, d ->
-              let gi = get_int src in
-              fun r -> `I (d, gi r)
-            | Lfloat, d ->
-              let gf = get_float src in
-              fun r -> `F (d, gf r)
-            | Lval, d ->
-              let gv = get_val src in
-              fun r -> `V (d, gv r))
-          dsts
+    if not (List.exists (fun (_, d) -> List.mem_assoc d pairs) pairs) then
+      Array.of_list (List.map (fun (s, d) -> move s d) pairs)
+    else
+      let staged =
+        List.map
+          (fun (s, ((dl, _) as d)) ->
+            let tmp = (dl, fresh dl) in
+            (move s tmp, move tmp d))
+          pairs
       in
-      fun r ->
-        let tmp = List.map (fun gth -> gth r) gathers in
-        List.iter
-          (function
-            | `I (d, v) -> r.ints.(d) <- v
-            | `F (d, v) -> r.floats.(d) <- v
-            | `V (d, v) -> r.vals.(d) <- v)
-          tmp
-    end
+      Array.of_list (List.map fst staged @ List.map snd staged)
   in
   let ret_val = ref Null in
   let compile_exit se : regs -> value =
@@ -484,9 +555,9 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
         (fun fd -> Array.to_list fd.fd_locals @ Array.to_list fd.fd_stack)
         se.se_frames
     in
-    let gs = Array.of_list (List.map get_val syms) in
+    let vals = boxed_all (Array.of_list syms) in
     let handler = hooks.CB.on_exit in
-    fun r -> handler se (Array.map (fun gv -> gv r) gs)
+    fun r -> handler se (vals r)
   in
   (* Control-flow lowering, three layers:
      - superblock splicing: an unconditional jump to a forward block with a
@@ -499,6 +570,9 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
        directly (recursion bounded by the block count);
      - trampoline: backward (loop) edges return the target index.
      [-1] means "function done" and unwinds nested forward calls. *)
+  let bindex = Hashtbl.create 16 in
+  List.iteri (fun i b -> Hashtbl.replace bindex b.bid i) blocks;
+  let idx_of bid = Hashtbl.find bindex bid in
   let nblocks = List.length blocks in
   let barr = Array.of_list blocks in
   let compiled : (regs -> int) array = Array.make nblocks (fun _ -> -1) in
@@ -528,77 +602,68 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     | Exit se when body_in_order tb = [] -> Some se
     | _ -> None
   in
-  let branch_cond (b : block) c : regs -> bool =
-    match Hashtbl.find_opt fused_conds b.bid with
-    | Some (`Gen f) -> f
-    | Some (`Cid_eq (a, k)) ->
-      fun r ->
-        (match a r with Obj o -> o.Vm.Types.ocls.Vm.Types.cid | _ -> -1) = k
-    | None ->
-      let cv = get_int c in
-      fun r -> cv r <> 0
-  in
-  let rec parts i : (regs -> unit) list * (regs -> int) =
+  (* emit block [i]'s steps (and its spliced successors') into [sb];
+     returns the terminator *)
+  let rec superblock sb i : regs -> int =
     let b = barr.(i) in
-    let steps = body_in_order b |> List.filter_map compile_node in
+    List.iter (compile_node sb) (body_in_order b);
+    let emit (st : step) = sb.steps <- st :: sb.steps in
     match b.term with
     | Jump t when spliceable i t ->
-      let tsteps, tterm = parts (idx_of t.tblock) in
-      let pre =
-        if Array.length t.targs = 0 then tsteps else compile_jump t :: tsteps
-      in
-      (steps @ pre, tterm)
-    | Br (c, t1, t2)
-      when spliceable i t1 && exit_only t2 <> None ->
-      let cp2 = compile_jump t2 in
+      Array.iter emit (jump_moves t);
+      superblock sb (idx_of t.tblock)
+    | Br (c, t1, t2) when spliceable i t1 && exit_only t2 <> None ->
+      let cp2 = seq (jump_moves t2) in
       let exit_run = compile_exit (Option.get (exit_only t2)) in
       let miss r =
         cp2 r;
         ret_val := exit_run r;
         raise Guard_miss
       in
-      (* the devirtualization shape gets a single-closure guard: receiver
+      (* the devirtualization shape is a single-closure guard: receiver
          slot -> class-id compare, no nested calls on the hit path *)
-      let guard =
-        match (Hashtbl.find_opt fused_conds b.bid, Array.length t1.targs) with
-        | Some (`Cid_eq (a, k)), 0 ->
+      emit
+        (match cid_eq c with
+        | Some (recv, k) ->
+          let a = operand sb Lval recv in
           fun r ->
-            (match a r with
-            | Obj o when o.Vm.Types.ocls.Vm.Types.cid = k -> ()
+            (match r.vals.(a) with
+            | Obj o when o.ocls.cid = k -> ()
             | _ -> miss r)
-        | _, 0 ->
-          let cond = branch_cond b c in
-          fun r -> if cond r then () else miss r
-        | _, _ ->
-          let cond = branch_cond b c in
-          let cp1 = compile_jump t1 in
-          fun r -> if cond r then cp1 r else miss r
-      in
-      let tsteps, tterm = parts (idx_of t1.tblock) in
-      (steps @ (guard :: tsteps), tterm)
-    | term -> (steps, compile_term b i term)
-  and compile_term (b : block) (my_idx : int) term : regs -> int =
+        | None ->
+          let ok = cond sb c in
+          fun r -> if not (ok r) then miss r);
+      Array.iter emit (jump_moves t1);
+      superblock sb (idx_of t1.tblock)
+    | term -> terminator sb i term
+  and terminator sb my_idx term : regs -> int =
     let arm (t : target) : regs -> int =
-      let cp = compile_jump t in
       let nxt = idx_of t.tblock in
-      if nxt > my_idx then fun r ->
-        cp r;
-        compiled.(nxt) r
-      else fun r ->
-        cp r;
-        nxt
+      match (jump_moves t, nxt > my_idx) with
+      | [||], true -> fun r -> compiled.(nxt) r
+      | [||], false -> fun _ -> nxt
+      | moves, true ->
+        let cp = seq moves in
+        fun r ->
+          cp r;
+          compiled.(nxt) r
+      | moves, false ->
+        let cp = seq moves in
+        fun r ->
+          cp r;
+          nxt
     in
     match term with
     | Ir.Ret s ->
-      let v = get_val s in
+      let v = boxed s in
       fun r ->
         ret_val := v r;
         -1
     | Jump t -> arm t
     | Br (c, t1, t2) ->
-      let cond = branch_cond b c in
+      let ok = cond sb c in
       let a1 = arm t1 and a2 = arm t2 in
-      fun r -> if cond r then a1 r else a2 r
+      fun r -> if ok r then a1 r else a2 r
     | Exit se ->
       let run = compile_exit se in
       fun r ->
@@ -606,26 +671,26 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
         -1
     | Unreachable msg -> fun _ -> vm_error "reached unreachable block: %s" msg
   in
-  List.iteri
+  Array.iteri
     (fun i _ ->
-      let steps, term = parts i in
-      let steps = Array.of_list steps in
+      let sb = { steps = []; coerced = Hashtbl.create 8 } in
+      let term = superblock sb i in
+      let steps = Array.of_list (List.rev sb.steps) in
       compiled.(i) <-
-        (match Array.length steps with
-        | 0 -> term
-        | 1 ->
-          let s0 = steps.(0) in
+        (match steps with
+        | [||] -> term
+        | [| s0 |] ->
           fun r ->
             s0 r;
             term r
-        | len ->
-          let last = len - 1 in
+        | _ ->
+          let last = Array.length steps - 1 in
           fun r ->
             for j = 0 to last do
               steps.(j) r
             done;
             term r))
-    blocks;
+    barr;
   if !Irtrace.on then
     Snapshot.take g (Phases.Schedule "typed") ~exclude:(Hashtbl.mem fused)
       ~meta:[ ("blocks", string_of_int (List.length blocks)) ];
@@ -640,35 +705,52 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       | _ -> ())
     slots;
   let ni = counts.(0) and nf = counts.(1) and nv = counts.(2) in
-  (* pooled registers, as in the boxed backend (SSA: no stale reads) *)
+  let prefill = !prefill in
+  let new_regs () =
+    let r =
+      {
+        ints = Array.make (max ni 1) 0;
+        floats = Array.make (max nf 1) 0.0;
+        vals = Array.make (max nv 1) Null;
+      }
+    in
+    List.iter (fun fill -> fill r) prefill;
+    r
+  in
+  (* pooled registers, as in the boxed backend (SSA: no stale reads); the
+     option cell itself is recycled so a call allocates nothing here *)
   let pool : regs option Atomic.t = Atomic.make None in
+  let run r =
+    let bid = ref entry_idx in
+    (try
+       while !bid >= 0 do
+         bid := compiled.(!bid) r
+       done
+     with Guard_miss -> ());
+    !ret_val
+  in
   fun args ->
     if Array.length args <> nparams then
       vm_error "typed kernel %s: expected %d args, got %d" g.name nparams
         (Array.length args);
-    let r =
+    let cell =
       match Atomic.exchange pool None with
-      | Some r -> r
-      | None ->
-        {
-          ints = Array.make (max ni 1) 0;
-          floats = Array.make (max nf 1) 0.0;
-          vals = Array.make (max nv 1) Null;
-        }
+      | Some _ as cell -> cell
+      | None -> Some (new_regs ())
     in
-    Fun.protect
-      ~finally:(fun () -> Atomic.set pool (Some r))
-      (fun () ->
-        Array.iteri
-          (fun k slot -> if slot >= 0 then r.vals.(slot) <- args.(k))
-          param_slots;
-        (try
-           let bid = ref entry_idx in
-           while !bid >= 0 do
-             bid := compiled.(!bid) r
-           done
-         with Guard_miss -> ());
-        !ret_val)
+    let r = Option.get cell in
+    for k = 0 to nparams - 1 do
+      let slot = param_slots.(k) in
+      if slot >= 0 then r.vals.(slot) <- args.(k)
+    done;
+    match run r with
+    | v ->
+      Atomic.set pool cell;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Atomic.set pool cell;
+      Printexc.raise_with_backtrace e bt
 
 (* Span-instrumented entry point: attributes backend compile time in traces
    (a no-op single branch when no observability sink is attached). *)
@@ -676,9 +758,11 @@ let compile ?hooks (g : graph) =
   Obs.span ~cat:Phases.cat_jit (Phases.span_backend "typed") (fun () ->
       compile ?hooks g)
 
-(* Compile with typed lanes; transparently fall back to the boxed backend if
-   the graph uses features the typed backend does not support. *)
+(* The one compile-with-fallback path: typed lanes when the graph allows,
+   else the boxed backend.  Returns the entry point, the backend that built
+   it and the reason the typed backend declined, if it did. *)
 let compile_or_fallback ?hooks (g : graph) =
   match compile ?hooks g with
-  | fn -> fn
-  | exception Fallback _ -> Closure_backend.compile ?hooks g
+  | fn -> (fn, "typed", None)
+  | exception Fallback reason ->
+    (Closure_backend.compile ?hooks g, "closure", Some reason)

@@ -101,7 +101,7 @@ let fop_apply op x y =
   | FMul -> x *. y
   | FDiv -> x /. y
 
-let cond_apply c x y =
+let cond_apply c (x : int) (y : int) =
   match c with
   | Eq -> x = y
   | Ne -> x <> y

@@ -582,25 +582,155 @@ let test_ntimes_gated_unroll () =
   check_bool "fully unrolled" false
     (Util.contains_sub s2 "jump" || Util.contains_sub s2 "ntimes")
 
-(* typed backend == boxed backend on random programs *)
+(* Mixed int/float programs for the backend differential test: float
+   locals, farray loads and stores, int and float literals, fcmp branches,
+   i2f/f2i, and loop-carried swaps (the parallel block-parameter copy). *)
+let gen_float_stmts =
+  QCheck.Gen.(
+    let fresh () =
+      incr fresh_loop;
+      !fresh_loop
+    in
+    (* sub-generators are built when drawn ([delay]), not up front: the
+       grammar branches too widely to construct eagerly *)
+    let bin sub op = map2 (fun x y -> Printf.sprintf "(%s %s %s)" x op y) sub sub in
+    let fvar = oneofl [ "x"; "y" ] and ivar = oneofl [ "c"; "r" ] in
+    let rec iexp k =
+      if k <= 0 then
+        oneof [ map string_of_int (int_range (-9) 9); oneofl [ "a"; "b"; "c"; "r" ] ]
+      else
+        let sub = delay (fun () -> iexp (k / 2)) in
+        frequency
+          [
+            (2, iexp 0);
+            (2, bin sub "+");
+            (1, bin sub "*");
+            (1, bin sub "/");
+            (2, map (Printf.sprintf "f2i(%s)") (delay (fun () -> fexp (k / 2))));
+          ]
+    and fexp k =
+      if k <= 0 then
+        oneof
+          [
+            oneofl [ "0.0"; "-0.0"; "1.5"; "-2.25"; "3.0" ];
+            oneofl [ "x"; "y"; "z" ];
+          ]
+      else
+        let sub = delay (fun () -> fexp (k / 2))
+        and isub = delay (fun () -> iexp (k / 2)) in
+        frequency
+          [
+            (2, fexp 0);
+            (2, bin sub "+");
+            (1, bin sub "-");
+            (1, bin sub "*");
+            (1, bin sub "/");
+            (2, map (Printf.sprintf "i2f(%s)") isub);
+            (2, map (Printf.sprintf "xs[(%s %% 4 + 4) %% 4]") isub);
+            (* an unguarded index: out of bounds traps *)
+            (1, map (Printf.sprintf "xs[%s]") (iexp 0));
+          ]
+    in
+    let rel = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+    let rec stm k =
+      let assign =
+        oneof
+          [
+            map2 (Printf.sprintf "%s = %s") fvar (fexp 2);
+            map2 (Printf.sprintf "%s = %s") ivar (iexp 2);
+            map2 (Printf.sprintf "xs[(%s %% 4 + 4) %% 4] = %s") (iexp 1) (fexp 2);
+          ]
+      in
+      if k <= 0 then assign
+      else
+        let sub = delay (fun () -> stm (k / 2)) in
+        frequency
+          [
+            (3, assign);
+            (2, map2 (Printf.sprintf "%s; %s") sub sub);
+            ( 2,
+              map3
+                (fun (c, op, d) t f ->
+                  Printf.sprintf "if (%s %s %s) { %s } else { %s }" c op d t f)
+                (triple (fexp 1) rel (fexp 1))
+                sub sub );
+            ( 1,
+              map3
+                (fun (c, d) t f ->
+                  Printf.sprintf "if (%s < %s) { %s } else { %s }" c d t f)
+                (pair (iexp 1) (iexp 1))
+                sub sub );
+            ( 2,
+              map2
+                (fun bound body ->
+                  let n = fresh () in
+                  (* swap both float and int locals every trip: the back
+                     edge passes (y, x) to params (x, y) *)
+                  Printf.sprintf
+                    "var l%d = 0; while (l%d < %d) { %s; val t%d = x; x = y; y \
+                     = t%d; val u%d = c; c = r; r = u%d; l%d = l%d + 1 }"
+                    n n bound body n n n n n n)
+                (int_range 0 5)
+                (delay (fun () -> stm (k / 3))) );
+          ]
+    in
+    sized (fun k -> stm (min k 12)))
+
+(* typed backend == boxed backend == interpreter on random programs:
+   results (floats bit for bit, so -0.0 and NaN count), traps, and the
+   final contents of the stored-to farray *)
 let prop_typed_equals_boxed =
   QCheck.Test.make ~name:"typed backend == boxed backend" ~count:80
-    (QCheck.make ~print:(fun s -> s) gen_mini_stmts)
+    (QCheck.make ~print:(fun s -> s) gen_float_stmts)
     (fun stmts ->
       let src =
         Printf.sprintf
-          "def f(a: int, b: int): int = { var c = 0; var r = 0; %s; r }" stmts
+          "def f(a: int, b: int, z: float, xs: farray): float = { var c = 0; \
+           var r = 0; var x = 0.5; var y = -1.0; %s; x + y * 3.0 + i2f(r - \
+           c) + xs[0] }"
+          stmts
       in
       let rt = Lancet.Api.boot () in
       let p = Mini.Front.load rt src in
       let m = Mini.Front.find_function p "f" in
-      let spec = [| C.Dyn; C.Dyn |] in
-      let boxed = C.compile_method ~typed:false rt m spec in
-      let typed = C.compile_method ~typed:true rt m spec in
+      let spec = [| C.Dyn; C.Dyn; C.Dyn; C.Dyn |] in
+      let compile typed =
+        let fn, backend, _ =
+          C.compile_graph ~typed rt (C.stage rt m spec) ~recompile:ignore
+        in
+        (fn, backend)
+      in
+      let boxed, _ = compile false and typed, backend = compile true in
+      let outcome run args =
+        let xs = [| Float.nan; -0.0; 1.5; 0.0 |] in
+        let args = Array.append args [| Farr xs |] in
+        let res =
+          match run args with
+          | Float f -> Ok (Int64.bits_of_float f)
+          | v -> Error ("non-float " ^ Vm.Value.to_string v)
+          | exception e -> Error (Printexc.to_string e)
+        in
+        (res, Array.map Int64.bits_of_float xs)
+      in
+      let show (res, xs) =
+        Printf.sprintf "%s xs=[%s]"
+          (match res with
+          | Ok bits -> Printf.sprintf "%h" (Int64.float_of_bits bits)
+          | Error e -> e)
+          (String.concat "; "
+             (Array.to_list
+                (Array.map (fun b -> Printf.sprintf "%h" (Int64.float_of_bits b)) xs)))
+      in
+      if backend <> "typed" then QCheck.Test.fail_reportf "fell back to %s" backend;
       List.for_all
-        (fun (a, b) ->
-          Vm.Value.equal (boxed [| Int a; Int b |]) (typed [| Int a; Int b |]))
-        [ (0, 0); (3, -7); (11, 5) ])
+        (fun (a, b, z) ->
+          let args = [| Int a; Int b; Float z |] in
+          let i = outcome (Vm.Interp.call rt m) args in
+          let bo = outcome boxed args and ty = outcome typed args in
+          bo = i && ty = i
+          || QCheck.Test.fail_reportf "args (%d, %d, %h): interp %s, boxed %s, typed %s"
+               a b z (show i) (show bo) (show ty))
+        [ (0, 0, Float.nan); (3, -7, -0.0); (11, 5, 2.5); (-2, 1, 0.0) ])
 
 let suite =
   suite

@@ -256,6 +256,42 @@ let test_counters_monotone () =
   check_bool "saw compiles" true (rt.tiering.t_compiles >= 1);
   check_bool "saw deopts" true (rt.tiering.t_deopts >= 1)
 
+(* ------------------------------------------------------------------ *)
+
+(* Allocation gate for compiled float kernels: once k-means [assign_all]
+   (with [nearest] and [sqdist] inlined) runs as typed-backend code, a call
+   allocates a fixed number of minor words -- the boxed arguments and
+   result at the call boundary -- however many rows it scans.  Exact word
+   counts, no timing: a boxed float anywhere in the row loop makes the
+   250-row figure exceed the 10-row one. *)
+let test_kernel_alloc_flat () =
+  let ic = open_in_bin "../examples/kmeans.mini" in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rt = boot_tiered ~threshold:4 () in
+  let p = Mini.Front.load rt src in
+  let d = 4 and k = 4 and rows = 250 in
+  let ps = Farr (Array.init (rows * d) (fun i -> float_of_int (i * 37 mod 101))) in
+  let cs = Farr (Array.init (k * d) (fun i -> float_of_int (i * 11 mod 97))) in
+  let call n =
+    Mini.Front.call p "assign_all" [| ps; cs; Int n; Int d; Int k |]
+  in
+  for _ = 1 to 20 do
+    ignore (call 10);
+    ignore (call rows)
+  done;
+  let m = Mini.Front.find_function p "assign_all" in
+  check_bool "assign_all compiled" true
+    (match m.mtier with Tier_compiled _ -> true | _ -> false);
+  let words n =
+    let w0 = Gc.minor_words () in
+    ignore (call n);
+    Gc.minor_words () -. w0
+  in
+  let w10 = words 10 in
+  Alcotest.(check (float 0.)) "minor words per call: 250 rows = 10 rows" w10
+    (words rows)
+
 let suite =
   [
     Alcotest.test_case "promotion" `Quick test_promotion;
@@ -267,4 +303,5 @@ let suite =
     Alcotest.test_case "eviction" `Quick test_eviction;
     Alcotest.test_case "blacklist" `Quick test_blacklist;
     Alcotest.test_case "counters-monotone" `Quick test_counters_monotone;
+    Alcotest.test_case "kernel-alloc-flat" `Quick test_kernel_alloc_flat;
   ]
