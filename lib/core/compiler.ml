@@ -1047,7 +1047,8 @@ and run_loop ctx ~stop ~cfg h : [ `Arrived | `Dead ] =
           in
           (let bty = (Ir.node (B.graph ctx.bld) br).Ir.ty in
            match Hashtbl.find_opt ty_hints i with
-           | Some t when t = bty -> ()
+           (* [Tany] is the top: widening it again changes nothing *)
+           | Some t when t = bty || t = Ir.Tany -> ()
            | Some _ ->
              Hashtbl.replace ty_hints i Ir.Tany;
              if List.mem i !param_slots then ty_dirty := true
@@ -1699,10 +1700,8 @@ let make_ctx ?(opts = default_options) rt nparams =
    arguments become compile-time constants (specialization with respect to
    preexisting heap objects); [Dyn] arguments become graph parameters.
    Returns the optimized graph, whose parameters are the Dyn arguments in
-   order. *)
-(* IR node counts of the most recent [stage] call: (after staging, after
-   dead-code elimination).  Read by [Tiering] to fill [Compile_end] events. *)
-let last_node_counts = ref (0, 0)
+   order, with its IR node counts (after staging, after dead-code
+   elimination) for the caller's [Compile_end] event. *)
 
 (* "dsd" = dyn,static,dyn — the specialization key rendered for Irtrace. *)
 let spec_string (spec : arg_spec array) =
@@ -1711,7 +1710,7 @@ let spec_string (spec : arg_spec array) =
        (Array.map (function Dyn -> "d" | Static_value _ -> "s") spec))
 
 let stage ?(opts = default_options) ?deps rt (m : meth) (spec : arg_spec array)
-    : Ir.graph =
+    : Ir.graph * (int * int) =
   Obs.span ~cat:Phases.cat_jit (Phases.span_stage opts.name) (fun () ->
       if !Irtrace.on then
         Irtrace.begin_compile ~mid:m.mid ~meth:(Vm.Runtime.meth_label m)
@@ -1746,9 +1745,8 @@ let stage ?(opts = default_options) ?deps rt (m : meth) (spec : arg_spec array)
       Obs.span ~cat:Phases.cat_jit Phases.span_dce (fun () ->
           Ir.dead_code_elim g);
       if !Irtrace.on then Lms.Snapshot.take g Phases.Dce;
-      last_node_counts := (before, Ir.node_count g);
       (match deps with Some r -> r := ctx.devirt_deps | None -> ());
-      g)
+      (g, (before, Ir.node_count g)))
 
 (* build runtime interpreter frames from side-exit metadata + live values *)
 let reconstruct_frames (se : Ir.side_exit) (vals : value array) :
@@ -1845,16 +1843,17 @@ let last_graph : Ir.graph option ref = ref None
 (* Wrap a tier-0 graph build (the explicit [Lancet.compile] /
    [compile_method] entry points; the tiered path has its own accounting in
    [Tiering]) with Compile_start/Compile_end events.  [build] returns the
-   backend it used and the typed backend's fallback reason. *)
-let obs_compile0 (m : meth) (build : unit -> string * string option) : unit =
+   backend it used, the typed backend's fallback reason and the node counts
+   from [stage]. *)
+let obs_compile0 (m : meth) (build : unit -> string * string option * (int * int))
+    : unit =
   if not !Obs.enabled then ignore (build ())
   else begin
     let meth = Vm.Runtime.meth_label m and mid = m.mid in
     Obs.emit
       (Obs.Compile_start { meth; mid; tier = 0; worker = Obs.worker_id () });
     let t0 = Obs.now () in
-    let emit_end backend fallback =
-      let nodes_in, nodes_out = !last_node_counts in
+    let emit_end backend fallback (nodes_in, nodes_out) =
       Obs.emit
         (Obs.Compile_end
            {
@@ -1870,9 +1869,9 @@ let obs_compile0 (m : meth) (build : unit -> string * string option) : unit =
            })
     in
     match build () with
-    | backend, fallback -> emit_end backend fallback
+    | backend, fallback, counts -> emit_end backend fallback counts
     | exception e ->
-      emit_end "failed" None;
+      emit_end "failed" None (0, 0);
       raise e
   end
 
@@ -1893,13 +1892,13 @@ let compile_value ?(opts = default_options) rt (v : value) : value =
       let cell = ref (fun _ -> Null) in
       let rec build () =
         obs_compile0 apply (fun () ->
-            let g = stage ~opts rt apply spec in
+            let g, counts = stage ~opts rt apply spec in
             last_graph := Some g;
             let fn, backend, fallback =
               compile_graph rt g ~recompile:(fun () -> build ())
             in
             cell := fn;
-            (backend, fallback))
+            (backend, fallback, counts))
       in
       build ();
       Vm.Natives.make_compiled_fn rt (fun args -> !cell args))
@@ -1917,8 +1916,11 @@ let compile_method ?(opts = default_options) ?(typed = false) rt (m : meth)
     (backend, fallback)
   in
   obs_compile0 m (fun () ->
-      let g = stage ~opts rt m spec in
+      let g, counts = stage ~opts rt m spec in
       last_graph := Some g;
-      install g ~recompile:(fun () ->
-          ignore (install (stage ~opts rt m spec) ~recompile:(fun () -> ()))));
+      let backend, fallback =
+        install g ~recompile:(fun () ->
+            ignore (install (fst (stage ~opts rt m spec)) ~recompile:(fun () -> ())))
+      in
+      (backend, fallback, counts));
   fun args -> !cell args

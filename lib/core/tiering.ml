@@ -90,9 +90,11 @@ let compile_method_dyn rt (m : meth) :
     (* the journal wants compile wall time too, so the clock runs whenever
        either consumer is on *)
     let t0 = if obs || !Forensics.on then Obs.now () else 0.0 in
+    (* this compile's own node counts, (0, 0) until staging finishes *)
+    let counts = ref (0, 0) in
     let emit_end backend fallback =
       if !Obs.enabled then begin
-        let nodes_in, nodes_out = !C.last_node_counts in
+        let nodes_in, nodes_out = !counts in
         Obs.emit
           (Obs.Compile_end
              {
@@ -109,7 +111,8 @@ let compile_method_dyn rt (m : meth) :
       end
     in
     match
-      let g = C.stage ~opts ~deps rt m spec in
+      let g, staged_counts = C.stage ~opts ~deps rt m spec in
+      counts := staged_counts;
       (* the optimized graph's structural fingerprint feeds two consumers:
          the decision journal (`lancet why` renders it and flags recompiles
          that produced identical code) and the profile subsystem, which

@@ -73,6 +73,6 @@ let cross_compile rt ?(name = "kernel") (clo : Vm.Types.value) ~(nargs : int) :
           if i = 0 then C.Static_value clo else C.Dyn)
     in
     ignore nargs;
-    let g = C.stage rt apply spec in
+    let g, _ = C.stage rt apply spec in
     Lms.Js_backend.emit_function ~name g
   | _ -> Vm.Types.vm_error "cross_compile: not a closure"

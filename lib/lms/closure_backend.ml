@@ -334,7 +334,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
             (match a r with
             | Arr x -> Int (Array.length x)
             | Farr x -> Int (Array.length x)
-            | _ -> vm_error "alen"))
+            | _ -> vm_error "alen: not an array"))
     | CallStatic m ->
       let gs = getters n.args in
       let d = slot_of n.id in

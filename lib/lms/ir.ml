@@ -276,12 +276,23 @@ let op_key op args =
    when its result is dead. *)
 let dead_code_elim g =
   let used = Hashtbl.create 64 in
+  (* pure nodes that can still trap stay unless the trap is ruled out: a
+     division by a possibly-zero divisor, and an array length or final
+     field read whose receiver may be null (or of the wrong kind) *)
   let kept n =
     n.eff
     ||
     match n.op with
     | Iop (Vm.Types.Div | Vm.Types.Rem) -> (
       match (node g n.args.(1)).op with Konst (Vm.Types.Int d) -> d = 0 | _ -> true)
+    | Alen -> (
+      match (node g n.args.(0)).op with
+      | Newarr | Newfarr | Konst (Vm.Types.Arr _ | Vm.Types.Farr _) -> false
+      | _ -> true)
+    | Getfield _ -> (
+      match (node g n.args.(0)).op with
+      | NewObj _ | Konst (Vm.Types.Obj _) -> false
+      | _ -> true)
     | _ -> false
   in
   let changed = ref true in

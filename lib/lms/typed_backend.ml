@@ -462,7 +462,7 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
             (match r.vals.(a) with
             | Arr x -> Array.length x
             | Farr x -> Array.length x
-            | _ -> vm_error "alen"))
+            | _ -> vm_error "alen: not an array"))
     | CallStatic
         {
           mcode =

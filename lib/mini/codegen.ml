@@ -285,14 +285,36 @@ let cond_of_binop pos = function
   | Ge -> T.Ge
   | _ -> type_error pos "not a comparison"
 
-(* ---------- expression compilation: every texpr pushes one value ---------- *)
+(* the condition that holds exactly when [c] does not.  Integer compares
+   only: a float compare with a NaN operand is false, and so is its
+   "negation" *)
+let negate = function
+  | T.Eq -> T.Ne
+  | T.Ne -> T.Eq
+  | T.Lt -> T.Ge
+  | T.Ge -> T.Lt
+  | T.Le -> T.Gt
+  | T.Gt -> T.Le
+
+(* ---------- expression compilation ----------
+   Three contexts, so that no instruction computes a value nobody reads:
+   - value ([emit_expr]): pushes exactly one value;
+   - statement ([emit_effect]): runs the expression for its effect and
+     leaves the stack unchanged;
+   - branch ([emit_cond]): jumps to a label when the condition has the
+     given truth value and falls through otherwise, stack unchanged.
+   Unit-valued forms (let, assignments, else-less if, loops) are compiled in
+   statement context only; in value position they are the statement
+   followed by [const null]. *)
+
+(* stamp the line table: instructions emitted for this expression (until a
+   subexpression re-stamps) are attributed to the expression's source line *)
+let stamp sc (e : texpr) = if e.tpos.line > 0 then A.set_line sc.b e.tpos.line
 
 let rec emit_expr sc (e : texpr) : unit =
   let b = sc.b in
   let pos = e.tpos in
-  (* stamp the line table: instructions emitted for this expression (until a
-     subexpression re-stamps) are attributed to the expression's source line *)
-  if pos.line > 0 then A.set_line b pos.line;
+  stamp sc e;
   match e.tdesc with
   | Cint i -> A.emit b (T.Const (T.Int i))
   | Cfloat f -> A.emit b (T.Const (T.Float f))
@@ -306,51 +328,18 @@ let rec emit_expr sc (e : texpr) : unit =
     match sc.this_storage with
     | Some st -> emit_read sc st
     | None -> type_error pos "codegen: no this")
-  | LetT (mut, x, init) ->
-    emit_expr sc init;
-    let boxed = mut && StringSet.mem x sc.boxed_names in
-    let slot = A.local b in
-    if boxed then begin
-      (* stack: v — wrap it in a fresh box shared with capturing closures *)
-      A.emit b (T.New sc.ctx.box_cls);
-      A.emit b T.Dup;
-      A.emit b (T.Store slot);
-      A.emit b T.Swap;
-      A.emit b (T.Putfield (box_field sc.ctx));
-      sc.vars <- (x, BoxedSlot slot) :: sc.vars
-    end
-    else begin
-      A.emit b (T.Store slot);
-      sc.vars <- (x, Slot slot) :: sc.vars
-    end;
-    sc.block_lets <- slot :: sc.block_lets;
-    A.emit b (T.Const T.Null)
-  | AssignLocal (x, v) ->
-    emit_expr sc v;
-    emit_write sc pos (lookup_var sc pos x);
-    A.emit b (T.Const T.Null)
-  | AssignGlobal (x, v) ->
-    emit_expr sc v;
-    emit_write sc pos (lookup_var sc pos x);
+  | LetT _ | AssignLocal _ | AssignGlobal _ | FieldSet _ | ArraySet _
+  | IfT (_, _, None)
+  | WhileT _ | ForT _ ->
+    emit_effect sc e;
     A.emit b (T.Const T.Null)
   | FieldGet (cls, o, name) ->
     emit_expr sc o;
     A.emit b (T.Getfield (vm_field sc.ctx cls name))
-  | FieldSet (cls, o, name, v) ->
-    emit_expr sc o;
-    emit_expr sc v;
-    A.emit b (T.Putfield (vm_field sc.ctx cls name));
-    A.emit b (T.Const T.Null)
   | ArrayGet (a, i) ->
     emit_expr sc a;
     emit_expr sc i;
     A.emit b (if a.t = Tfarray then T.Faload else T.Aload)
-  | ArraySet (a, i, v) ->
-    emit_expr sc a;
-    emit_expr sc i;
-    emit_expr sc v;
-    A.emit b (if a.t = Tfarray then T.Fastore else T.Astore);
-    A.emit b (T.Const T.Null)
   | ArrayLen a ->
     emit_expr sc a;
     A.emit b T.Alen
@@ -362,21 +351,10 @@ let rec emit_expr sc (e : texpr) : unit =
     emit_expr sc x;
     emit_expr sc y;
     A.emit b (T.Fop (fop_of_binop pos op))
-  | Icompare (op, x, y) ->
-    emit_expr sc x;
-    emit_expr sc y;
+  | Icompare _ | Fcompare _ | NullCheck _ | AndT _ | OrT _ ->
+    (* a condition used as a value: materialize the branch as 0/1 *)
     let ltrue = A.new_label b and lend = A.new_label b in
-    A.if_ b (cond_of_binop pos op) ltrue;
-    A.emit b (T.Const (T.Int 0));
-    A.goto b lend;
-    A.place b ltrue;
-    A.emit b (T.Const (T.Int 1));
-    A.place b lend
-  | Fcompare (op, x, y) ->
-    emit_expr sc x;
-    emit_expr sc y;
-    let ltrue = A.new_label b and lend = A.new_label b in
-    A.iff b (cond_of_binop pos op) ltrue;
+    emit_cond sc e ~jump_if:true ltrue;
     A.emit b (T.Const (T.Int 0));
     A.goto b lend;
     A.place b ltrue;
@@ -386,49 +364,12 @@ let rec emit_expr sc (e : texpr) : unit =
     emit_expr sc x;
     emit_expr sc y;
     A.emit b (T.Invoke (T.Static (Vm.Classfile.static_method sc.ctx.rt ~cls:"Str" ~name:"concat")))
-  | StrEq (neg, x, y) ->
-    emit_expr sc x;
-    emit_expr sc y;
-    A.emit b (T.Invoke (T.Static (Vm.Classfile.static_method sc.ctx.rt ~cls:"Str" ~name:"eq")));
+  | StrEq (neg, _, _) | RefEq (neg, _, _) ->
+    emit_equality sc e;
     if neg then begin
       A.emit b (T.Const (T.Int 1));
       A.emit b (T.Iop T.Xor)
     end
-  | RefEq (neg, x, y) ->
-    emit_expr sc x;
-    emit_expr sc y;
-    A.emit b (T.Invoke (T.Static (Vm.Classfile.static_method sc.ctx.rt ~cls:"Sys" ~name:"veq")));
-    if neg then begin
-      A.emit b (T.Const (T.Int 1));
-      A.emit b (T.Iop T.Xor)
-    end
-  | NullCheck (when_null, x) ->
-    emit_expr sc x;
-    let ltrue = A.new_label b and lend = A.new_label b in
-    A.ifnull b when_null ltrue;
-    A.emit b (T.Const (T.Int 0));
-    A.goto b lend;
-    A.place b ltrue;
-    A.emit b (T.Const (T.Int 1));
-    A.place b lend
-  | AndT (x, y) ->
-    emit_expr sc x;
-    let lfalse = A.new_label b and lend = A.new_label b in
-    A.ifz b T.Eq lfalse;
-    emit_expr sc y;
-    A.goto b lend;
-    A.place b lfalse;
-    A.emit b (T.Const (T.Int 0));
-    A.place b lend
-  | OrT (x, y) ->
-    emit_expr sc x;
-    let ltrue = A.new_label b and lend = A.new_label b in
-    A.ifz b T.Ne ltrue;
-    emit_expr sc y;
-    A.goto b lend;
-    A.place b ltrue;
-    A.emit b (T.Const (T.Int 1));
-    A.place b lend
   | NotT x ->
     emit_expr sc x;
     A.emit b (T.Const (T.Int 1));
@@ -445,81 +386,9 @@ let rec emit_expr sc (e : texpr) : unit =
   | F2IT x ->
     emit_expr sc x;
     A.emit b T.F2i
-  | IfT (c, t, None) ->
-    emit_expr sc c;
-    let lend = A.new_label b in
-    A.ifz b T.Eq lend;
-    emit_expr sc t;
-    A.emit b T.Pop;
-    A.place b lend;
-    A.emit b (T.Const T.Null)
-  | IfT (c, t, Some f) ->
-    emit_expr sc c;
-    let lelse = A.new_label b and lend = A.new_label b in
-    A.ifz b T.Eq lelse;
-    emit_expr sc t;
-    A.goto b lend;
-    A.place b lelse;
-    emit_expr sc f;
-    A.place b lend
-  | WhileT (c, body) ->
-    let lhead = A.new_label b and lexit = A.new_label b in
-    A.place b lhead;
-    emit_expr sc c;
-    A.ifz b T.Eq lexit;
-    emit_expr sc body;
-    A.emit b T.Pop;
-    A.goto b lhead;
-    A.place b lexit;
-    A.emit b (T.Const T.Null)
-  | ForT (x, lo, hi, body) ->
-    let saved = sc.vars in
-    emit_expr sc lo;
-    let islot = A.local b in
-    A.emit b (T.Store islot);
-    emit_expr sc hi;
-    let lim = A.local b in
-    A.emit b (T.Store lim);
-    sc.vars <- (x, Slot islot) :: sc.vars;
-    let lhead = A.new_label b and lexit = A.new_label b in
-    A.place b lhead;
-    A.emit b (T.Load islot);
-    A.emit b (T.Load lim);
-    A.if_ b T.Ge lexit;
-    emit_expr sc body;
-    A.emit b T.Pop;
-    A.emit b (T.Load islot);
-    A.emit b (T.Const (T.Int 1));
-    A.emit b (T.Iop T.Add);
-    A.emit b (T.Store islot);
-    A.goto b lhead;
-    A.place b lexit;
-    sc.vars <- saved;
-    A.emit b (T.Const T.Null);
-    A.emit b (T.Store islot);
-    A.emit b (T.Const T.Null)
+  | IfT (c, t, Some f) -> emit_if_else sc c t f emit_expr
   | BlockT [] -> A.emit b (T.Const T.Null)
-  | BlockT es ->
-    let saved = sc.vars in
-    let saved_lets = sc.block_lets in
-    sc.block_lets <- [];
-    let rec go = function
-      | [] -> assert false
-      | [ last ] -> emit_expr sc last
-      | e :: rest ->
-        emit_expr sc e;
-        A.emit b T.Pop;
-        go rest
-    in
-    go es;
-    (* clear dead slots so stale references do not outlive the block *)
-    List.iter
-      (fun slot ->
-        A.emit b (T.Const T.Null);
-        A.emit b (T.Store slot))
-      sc.block_lets;
-    sc.block_lets <- saved_lets;
-    sc.vars <- saved
+  | BlockT es -> emit_block sc es emit_expr
   | CallFun (f, args) ->
     List.iter (emit_expr sc) args;
     let m = Vm.Classfile.own_method sc.ctx.main_cls f in
@@ -570,6 +439,180 @@ let rec emit_expr sc (e : texpr) : unit =
       A.emit b T.Pop
     | _ -> ())
   | LambdaT (params, _, body) -> emit_lambda sc params body
+
+(* Statement context: run [e] for its effect, leaving the stack as it was. *)
+and emit_effect sc (e : texpr) : unit =
+  let b = sc.b in
+  let pos = e.tpos in
+  stamp sc e;
+  match e.tdesc with
+  | LetT (mut, x, init) ->
+    emit_expr sc init;
+    let boxed = mut && StringSet.mem x sc.boxed_names in
+    let slot = A.local b in
+    if boxed then begin
+      (* stack: v — wrap it in a fresh box shared with capturing closures *)
+      A.emit b (T.New sc.ctx.box_cls);
+      A.emit b T.Dup;
+      A.emit b (T.Store slot);
+      A.emit b T.Swap;
+      A.emit b (T.Putfield (box_field sc.ctx));
+      sc.vars <- (x, BoxedSlot slot) :: sc.vars
+    end
+    else begin
+      A.emit b (T.Store slot);
+      sc.vars <- (x, Slot slot) :: sc.vars
+    end;
+    sc.block_lets <- slot :: sc.block_lets
+  | AssignLocal (x, v) | AssignGlobal (x, v) ->
+    emit_expr sc v;
+    emit_write sc pos (lookup_var sc pos x)
+  | FieldSet (cls, o, name, v) ->
+    emit_expr sc o;
+    emit_expr sc v;
+    A.emit b (T.Putfield (vm_field sc.ctx cls name))
+  | ArraySet (a, i, v) ->
+    emit_expr sc a;
+    emit_expr sc i;
+    emit_expr sc v;
+    A.emit b (if a.t = Tfarray then T.Fastore else T.Astore)
+  | IfT (c, t, None) ->
+    let lend = A.new_label b in
+    emit_cond sc c ~jump_if:false lend;
+    emit_effect sc t;
+    A.place b lend
+  | IfT (c, t, Some f) -> emit_if_else sc c t f emit_effect
+  | WhileT (c, body) ->
+    let lhead = A.new_label b and lexit = A.new_label b in
+    A.place b lhead;
+    emit_cond sc c ~jump_if:false lexit;
+    emit_effect sc body;
+    A.goto b lhead;
+    A.place b lexit
+  | ForT (x, lo, hi, body) ->
+    let saved = sc.vars in
+    emit_expr sc lo;
+    let islot = A.local b in
+    A.emit b (T.Store islot);
+    emit_expr sc hi;
+    let lim = A.local b in
+    A.emit b (T.Store lim);
+    sc.vars <- (x, Slot islot) :: sc.vars;
+    let lhead = A.new_label b and lexit = A.new_label b in
+    A.place b lhead;
+    A.emit b (T.Load islot);
+    A.emit b (T.Load lim);
+    A.if_ b T.Ge lexit;
+    emit_effect sc body;
+    A.emit b (T.Load islot);
+    A.emit b (T.Const (T.Int 1));
+    A.emit b (T.Iop T.Add);
+    A.emit b (T.Store islot);
+    A.goto b lhead;
+    A.place b lexit;
+    sc.vars <- saved;
+    A.emit b (T.Const T.Null);
+    A.emit b (T.Store islot)
+  | BlockT es -> emit_block sc es emit_effect
+  | _ ->
+    emit_expr sc e;
+    A.emit b T.Pop
+
+(* Branch context: jump to [l] when [c] evaluates to [jump_if], fall
+   through otherwise. *)
+and emit_cond sc (c : texpr) ~jump_if l : unit =
+  let b = sc.b in
+  stamp sc c;
+  match c.tdesc with
+  | Icompare (op, x, y) ->
+    emit_expr sc x;
+    emit_expr sc y;
+    let cond = cond_of_binop c.tpos op in
+    A.if_ b (if jump_if then cond else negate cond) l
+  | Fcompare (op, x, y) ->
+    emit_expr sc x;
+    emit_expr sc y;
+    let cond = cond_of_binop c.tpos op in
+    if jump_if then A.iff b cond l
+    else begin
+      (* no negated float compare exists (NaN): branch around the jump *)
+      let skip = A.new_label b in
+      A.iff b cond skip;
+      A.goto b l;
+      A.place b skip
+    end
+  | NullCheck (when_null, x) ->
+    emit_expr sc x;
+    A.ifnull b (when_null = jump_if) l
+  | NotT x -> emit_cond sc x ~jump_if:(not jump_if) l
+  | AndT (x, y) when jump_if ->
+    let skip = A.new_label b in
+    emit_cond sc x ~jump_if:false skip;
+    emit_cond sc y ~jump_if:true l;
+    A.place b skip
+  | AndT (x, y) ->
+    emit_cond sc x ~jump_if:false l;
+    emit_cond sc y ~jump_if:false l
+  | OrT (x, y) when jump_if ->
+    emit_cond sc x ~jump_if:true l;
+    emit_cond sc y ~jump_if:true l
+  | OrT (x, y) ->
+    let skip = A.new_label b in
+    emit_cond sc x ~jump_if:true skip;
+    emit_cond sc y ~jump_if:false l;
+    A.place b skip
+  | StrEq (neg, _, _) | RefEq (neg, _, _) ->
+    (* the 0/1 of the un-negated equality; [neg] flips the test instead *)
+    emit_equality sc c;
+    A.ifz b (if jump_if <> neg then T.Ne else T.Eq) l
+  | _ ->
+    emit_expr sc c;
+    A.ifz b (if jump_if then T.Ne else T.Eq) l
+
+(* [x == y] on strings or references, pushed as 0/1 (negation not applied) *)
+and emit_equality sc (e : texpr) =
+  let cls, name, x, y =
+    match e.tdesc with
+    | StrEq (_, x, y) -> ("Str", "eq", x, y)
+    | RefEq (_, x, y) -> ("Sys", "veq", x, y)
+    | _ -> type_error e.tpos "codegen: not an equality"
+  in
+  emit_expr sc x;
+  emit_expr sc y;
+  A.emit sc.b (T.Invoke (T.Static (Vm.Classfile.static_method sc.ctx.rt ~cls ~name)))
+
+and emit_if_else sc c t f arm =
+  let b = sc.b in
+  let lelse = A.new_label b and lend = A.new_label b in
+  emit_cond sc c ~jump_if:false lelse;
+  arm sc t;
+  A.goto b lend;
+  A.place b lelse;
+  arm sc f;
+  A.place b lend
+
+(* a block scope: every element but the last in statement context, the last
+   through [last]; slots bound in the block are cleared on exit so stale
+   references do not outlive it *)
+and emit_block sc es last =
+  let saved = sc.vars in
+  let saved_lets = sc.block_lets in
+  sc.block_lets <- [];
+  let rec go = function
+    | [] -> ()
+    | [ e ] -> last sc e
+    | e :: rest ->
+      emit_effect sc e;
+      go rest
+  in
+  go es;
+  List.iter
+    (fun slot ->
+      A.emit sc.b (T.Const T.Null);
+      A.emit sc.b (T.Store slot))
+    sc.block_lets;
+  sc.block_lets <- saved_lets;
+  sc.vars <- saved
 
 (* Build the closure class and emit the allocation + captures at the
    creation site. *)

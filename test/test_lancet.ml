@@ -366,6 +366,29 @@ def main(): int = {
   ignore rt;
   check_value "compiled within program" (Int 110) (Mini.Front.call p "main" [||])
 
+(* an outer-loop slot whose back-edge type has widened to [Tany] must not
+   re-widen on every fixpoint round, or loop analysis never converges *)
+let test_nested_loop_converges () =
+  let h =
+    load
+      {|
+def make(): (int) -> int = fun (a: int) => {
+  var r = 0;
+  var w2 = 0;
+  while (w2 < 4) {
+    r = 3;
+    { var w1 = 0; while (w1 < 4 && r != a) { r = a; w1 = w1 + 1 } };
+    w2 = w2 + 1
+  };
+  r
+}
+|}
+  in
+  let compiled, interp = compile_closure_of h "make" in
+  List.iter
+    (fun a -> check_value "matches interpreter" (interp [| Int a |]) (compiled [| Int a |]))
+    [ 3; 7 ]
+
 let suite =
   [
     Alcotest.test_case "compile-identity" `Quick test_compile_identity;
@@ -391,6 +414,7 @@ let suite =
     Alcotest.test_case "taint-untaint" `Quick test_taint_untaint_ok;
     Alcotest.test_case "fold-pure-natives" `Quick test_compiled_string_ops_fold;
     Alcotest.test_case "compile-from-bytecode" `Quick test_compile_from_bytecode;
+    Alcotest.test_case "nested-loop-converges" `Quick test_nested_loop_converges;
   ]
 
 (* ---------- property: compiled == interpreted on random programs ------- *)
@@ -631,6 +655,12 @@ let gen_float_stmts =
             (1, map (Printf.sprintf "xs[%s]") (iexp 0));
           ]
     in
+    (* a dead read that traps on a null receiver: DCE must keep it *)
+    let dead_read =
+      map
+        (fun read -> Printf.sprintf "val d%d = %s" (fresh ()) read)
+        (oneofl [ "ns.length"; "q.v" ])
+    in
     let rel = oneofl [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
     let rec stm k =
       let assign =
@@ -639,6 +669,7 @@ let gen_float_stmts =
             map2 (Printf.sprintf "%s = %s") fvar (fexp 2);
             map2 (Printf.sprintf "%s = %s") ivar (iexp 2);
             map2 (Printf.sprintf "xs[(%s %% 4 + 4) %% 4] = %s") (iexp 1) (fexp 2);
+            dead_read;
           ]
       in
       if k <= 0 then assign
@@ -678,25 +709,29 @@ let gen_float_stmts =
 
 (* typed backend == boxed backend == interpreter on random programs:
    results (floats bit for bit, so -0.0 and NaN count), traps, and the
-   final contents of the stored-to farray *)
+   final contents of the stored-to farray.  [ns] and [q] are null on some
+   inputs. *)
 let prop_typed_equals_boxed =
   QCheck.Test.make ~name:"typed backend == boxed backend" ~count:80
     (QCheck.make ~print:(fun s -> s) gen_float_stmts)
     (fun stmts ->
       let src =
         Printf.sprintf
-          "def f(a: int, b: int, z: float, xs: farray): float = { var c = 0; \
-           var r = 0; var x = 0.5; var y = -1.0; %s; x + y * 3.0 + i2f(r - \
-           c) + xs[0] }"
+          "class Q {\n val v: int\n def init(v: int): unit = { this.v = v }\n}\n\
+           def mkq(v: int): Q = new Q(v)\n\
+           def f(a: int, b: int, z: float, ns: farray, q: Q, xs: farray): \
+           float = { var c = 0; var r = 0; var x = 0.5; var y = -1.0; %s; x \
+           + y * 3.0 + i2f(r - c) + xs[0] }"
           stmts
       in
       let rt = Lancet.Api.boot () in
       let p = Mini.Front.load rt src in
       let m = Mini.Front.find_function p "f" in
-      let spec = [| C.Dyn; C.Dyn; C.Dyn; C.Dyn |] in
+      let q = Mini.Front.call p "mkq" [| Int 7 |] in
+      let spec = Array.make 6 C.Dyn in
       let compile typed =
         let fn, backend, _ =
-          C.compile_graph ~typed rt (C.stage rt m spec) ~recompile:ignore
+          C.compile_graph ~typed rt (fst (C.stage rt m spec)) ~recompile:ignore
         in
         (fn, backend)
       in
@@ -704,11 +739,15 @@ let prop_typed_equals_boxed =
       let outcome run args =
         let xs = [| Float.nan; -0.0; 1.5; 0.0 |] in
         let args = Array.append args [| Farr xs |] in
+        let trap = function
+          | Vm.Types.Vm_error msg -> "Vm_error " ^ Util.trap_message msg
+          | e -> Printexc.to_string e
+        in
         let res =
           match run args with
           | Float f -> Ok (Int64.bits_of_float f)
           | v -> Error ("non-float " ^ Vm.Value.to_string v)
-          | exception e -> Error (Printexc.to_string e)
+          | exception e -> Error (trap e)
         in
         (res, Array.map Int64.bits_of_float xs)
       in
@@ -722,15 +761,21 @@ let prop_typed_equals_boxed =
                 (Array.map (fun b -> Printf.sprintf "%h" (Int64.float_of_bits b)) xs)))
       in
       if backend <> "typed" then QCheck.Test.fail_reportf "fell back to %s" backend;
+      let arr = Farr [| 1.0; 2.0 |] in
       List.for_all
-        (fun (a, b, z) ->
-          let args = [| Int a; Int b; Float z |] in
+        (fun (a, b, z, ns, q) ->
+          let args = [| Int a; Int b; Float z; ns; q |] in
           let i = outcome (Vm.Interp.call rt m) args in
           let bo = outcome boxed args and ty = outcome typed args in
           bo = i && ty = i
           || QCheck.Test.fail_reportf "args (%d, %d, %h): interp %s, boxed %s, typed %s"
                a b z (show i) (show bo) (show ty))
-        [ (0, 0, Float.nan); (3, -7, -0.0); (11, 5, 2.5); (-2, 1, 0.0) ])
+        [
+          (0, 0, Float.nan, arr, q);
+          (3, -7, -0.0, Null, q);
+          (11, 5, 2.5, arr, Null);
+          (-2, 1, 0.0, arr, q);
+        ])
 
 let suite =
   suite

@@ -4,6 +4,7 @@ let () =
       ("vm", Test_vm.suite);
       ("lms", Test_lms.suite);
       ("mini", Test_mini.suite);
+      ("codegen", Test_codegen.suite);
       ("lancet", Test_lancet.suite);
       ("tiering", Test_tiering.suite);
       ("bgjit", Test_bgjit.suite);

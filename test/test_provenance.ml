@@ -127,7 +127,7 @@ let test_prov_stage () =
       "def g(a: int, b: int): int = a * b + a\n"
   in
   let m = Mini.Front.find_function p "g" in
-  let g =
+  let g, _ =
     Lancet.Compiler.stage rt m [| Lancet.Compiler.Dyn; Lancet.Compiler.Dyn |]
   in
   let nodes = ref 0 in
