@@ -849,9 +849,9 @@ let forensics_bench () =
 (* Cost of one IR-trace checkpoint (`if !Irtrace.on then ...`) with tracing
    disabled.  The sites sit inside the staging emit path, the DCE filter
    and both backends' guard-lowering loops — hotter code than the journal's
-   tiering slow paths — so the same brutal budget applies: < 1ns over the
-   bare loop, a single load+branch, with the miss payload allocated only
-   under the guard. *)
+   tiering slow paths — so the budget is nearly as brutal: < 2ns over the
+   bare loop (see [irtrace_guard]), a single load+branch, with the miss
+   payload allocated only under the guard. *)
 let irtrace_overhead ~iters =
   Irtrace.disable ();
   let acc = ref 0 in

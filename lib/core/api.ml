@@ -60,11 +60,16 @@ let likely_macro ctx args =
   C.Val args.(0)
 
 (* speculate: assume the test always succeeds; the failing path becomes a
-   side exit into the interpreter (OSR-out). *)
+   side exit into the interpreter (OSR-out).  A feedback (tier-1) compile
+   skips the guard at a site whose trap log says it already failed: the
+   condition is returned as is, leaving a plain branch with both arms. *)
 let speculate_macro ctx (args : C.rep array) : C.macro_result =
   let cond = args.(0) in
+  let f = ctx.C.frame in
   match C.evalA ctx cond with
   | Absval.Const (Int _) -> C.Val cond
+  | _ when ctx.C.opts.C.feedback && List.mem f.C.sf_pc f.C.sf_meth.mtraps ->
+    C.Val cond
   | _ ->
     let bt = B.new_block ctx.C.bld and bf = B.new_block ctx.C.bld in
     B.terminate ctx.C.bld

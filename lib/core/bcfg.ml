@@ -157,8 +157,11 @@ let in_loop t header pc =
 
 let is_loop_header t pc = pc < t.n && t.loop_headers.(pc)
 
-(* cache per method *)
-let cache : (int, t) Hashtbl.t = Hashtbl.create 64
+(* cache per method, one table per domain: background JIT workers stage
+   concurrently, and a shared [Hashtbl] is not safe to mutate from several
+   domains at once *)
+let cache_key : (int, t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let of_method (m : meth) : t =
   let code =
@@ -166,6 +169,7 @@ let of_method (m : meth) : t =
     | Bytecode c -> c
     | Native _ -> invalid_arg "Bcfg.of_method: native method"
   in
+  let cache = Domain.DLS.get cache_key in
   match Hashtbl.find_opt cache m.mid with
   | Some t when t.code == code -> t
   | Some _ | None ->

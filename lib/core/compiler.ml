@@ -88,7 +88,9 @@ type options = {
   feedback : bool;
     (* consume interpreter inline-cache profiles: compile monomorphic
        virtual sites to guarded direct calls (deopt on guard failure) and
-       polymorphic sites to short dispatch chains *)
+       polymorphic sites to short dispatch chains; and consult each
+       method's trap log ([mtraps]) so a [speculate] guard that already
+       failed is not planted again *)
 }
 
 let default_options =

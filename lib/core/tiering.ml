@@ -10,7 +10,9 @@
    macros) additionally bump the method's cache generation and rebuild the
    graph with the current values frozen before resuming — the same
    cell-swapping scheme as [Compiler.compile_value], so the cached entry
-   point stays valid across recompiles.
+   point stays valid across recompiles.  A failed [speculate] guard is
+   added to its method's trap log ([meth.mtraps]) and the code is
+   invalidated: the re-promoted compile emits a plain branch there.
 
    Observability: every graph build — initial promotion and on-exit
    recompile alike — goes through [build], which is the single place that
@@ -175,20 +177,34 @@ let compile_method_dyn rt (m : meth) :
                        pc = se_pc;
                        line = se_line;
                      });
+              (* a failed [speculate] guard goes into the trap log of the
+                 method it sits in (the innermost frame, which may be an
+                 inlined callee) before the governor looks at it, so the
+                 next feedback compile emits a plain branch there *)
+              let tag = se.Lms.Ir.se_tag in
+              let speculated =
+                match (se.Lms.Ir.se_kind, se.Lms.Ir.se_frames) with
+                | `Interpret, fd :: _ when String.equal tag "speculate" ->
+                  let tm = fd.Lms.Ir.fd_meth in
+                  if not (List.mem fd.Lms.Ir.fd_pc tm.mtraps) then
+                    tm.mtraps <- fd.Lms.Ir.fd_pc :: tm.mtraps;
+                  true
+                | _ -> false
+              in
               (* the governor's circuit breaker sees every deopt; when it
                  acts (demote to interpreter, blacklist) the normal
                  remediation below is skipped — re-enqueueing a recompile
                  would defeat the backoff *)
               let governed =
                 match t.t_on_deopt with
-                | Some f -> f m se.Lms.Ir.se_tag se_pc se_line
+                | Some f -> f m tag se_pc se_line
                 | None -> false
               in
               (match se.Lms.Ir.se_kind with
               | _ when governed -> ()
               | `Recompile -> (
                 Vm.Runtime.tier_invalidate
-                  ~why:(Forensics.Recompile_exit { tag = se.Lms.Ir.se_tag })
+                  ~why:(Forensics.Recompile_exit { tag })
                   rt m;
                 (* With background compilation installed, the rebuild goes
                    through the compile queue: the mutator resumes in the
@@ -203,39 +219,29 @@ let compile_method_dyn rt (m : meth) :
                   match build () with
                   | deps', _ -> Vm.Runtime.tier_install ~deps:deps' rt m entry
                   | exception _ -> m.mtier <- Tier_blacklisted))
-              | `Interpret ->
-                let tag = se.Lms.Ir.se_tag in
-                if
-                  String.length tag > 7 && String.equal (String.sub tag 0 7)
-                    "devirt:"
-                then begin
-                  if !Obs.enabled then
-                    Obs.emit
-                      (Obs.Devirt_guard_fail
-                         {
-                           meth = label;
-                           mid = m.mid;
-                           pc =
-                             (match se.Lms.Ir.se_frames with
-                             | fd :: _ -> fd.Lms.Ir.fd_pc
-                             | [] -> -1);
-                           target =
-                             String.sub tag 7 (String.length tag - 7);
-                         });
-                  incr devirt_fails;
-                  (* repeated misses: speculation is now slower than generic
-                     dispatch, so invalidate; the hot method re-promotes
-                     against the retrained inline cache *)
-                  if !devirt_fails >= 2 then
-                    Vm.Runtime.tier_invalidate
-                      ~why:
-                        (Forensics.Devirt_miss
-                           {
-                             target = String.sub tag 7 (String.length tag - 7);
-                             fails = !devirt_fails;
-                           })
-                      rt m
-                end);
+              | `Interpret when speculated ->
+                (* drop the code; the next call re-promotes as usual and
+                   the recompile honours the trap log *)
+                Vm.Runtime.tier_invalidate
+                  ~why:
+                    (Forensics.Guard { tag; pc = se_pc; line = se_line })
+                  rt m
+              | `Interpret when String.starts_with ~prefix:"devirt:" tag ->
+                let target = String.sub tag 7 (String.length tag - 7) in
+                if !Obs.enabled then
+                  Obs.emit
+                    (Obs.Devirt_guard_fail
+                       { meth = label; mid = m.mid; pc = se_pc; target });
+                incr devirt_fails;
+                (* repeated misses: speculation is now slower than generic
+                   dispatch, so invalidate; the hot method re-promotes
+                   against the retrained inline cache *)
+                if !devirt_fails >= 2 then
+                  Vm.Runtime.tier_invalidate
+                    ~why:
+                      (Forensics.Devirt_miss { target; fails = !devirt_fails })
+                    rt m
+              | `Interpret -> ());
               Vm.Interp.resume rt (C.reconstruct_frames se vals));
         }
       in

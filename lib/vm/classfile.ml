@@ -75,6 +75,7 @@ let add_method rt cls ~name ?(static = false) ~nargs code =
       mcalls = 0;
       mbackedges = 0;
       mtier = Tier_cold;
+      mtraps = [];
     }
   in
   rt.next_mid <- rt.next_mid + 1;

@@ -59,6 +59,13 @@ and meth = {
   mutable mcalls : int; (* invocation counter *)
   mutable mbackedges : int; (* backward-jump counter *)
   mutable mtier : tier_state;
+  (* trap log: resume pcs of [speculate] guards in this method that failed
+     in tier-1 code; feedback compiles emit a plain branch there instead of
+     re-planting the guard.  Written by the mutator's deopt handler, read by
+     JIT workers while staging: a benign race on one word, since a list is
+     replaced, never mutated, and a compile that misses the newest entry
+     only plants a guard that deopts once more *)
+  mutable mtraps : int list;
 }
 
 and tier_state =

@@ -249,6 +249,102 @@ let test_async_recompile () =
     ((Bgjit.stats pool).Bgjit.s_blacklisted = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Trap log under two JIT workers: many speculating kernels compile
+   concurrently while the mutator feeds them failing inputs.  Workers read
+   each method's trap log while staging, the mutator's deopt handler
+   writes it, and both stage through the per-domain control-flow cache.
+   Every result must match the interpreter; a site deopts once, plus once
+   per compile that planted its guard after the failure was logged (a
+   compile that read the log before the write).                          *)
+
+let nkernels = 32
+
+let kernels_src =
+  String.concat "\n"
+    (List.init nkernels (fun i ->
+         Printf.sprintf
+           {|def k%d(x: int): int = {
+  var acc = %d;
+  for (j <- 0 until 8) {
+    if (Lancet.speculate(x < %d)) acc = (acc * 31 + x + j) %% 1000003
+    else acc = acc - j
+  };
+  acc
+}|}
+           i i (100 + i)))
+
+let test_trap_log_stress () =
+  Forensics.enable ();
+  Fun.protect ~finally:Forensics.disable @@ fun () ->
+  let rt, pool =
+    Lancet.Api.boot_bg ~tiering:true ~tier_threshold:2 ~jit_threads:2 ()
+  in
+  let pool = Option.get pool in
+  Fun.protect ~finally:(fun () -> Bgjit.shutdown pool) @@ fun () ->
+  let p = Mini.Front.load rt kernels_src in
+  let pp = Mini.Front.load (Vm.Natives.boot ()) kernels_src in
+  let call i x =
+    let f = Printf.sprintf "k%d" i in
+    check_value
+      (Printf.sprintf "%s(%d) = interpreter" f x)
+      (Mini.Front.call pp f [| Int x |])
+      (Mini.Front.call p f [| Int x |])
+  in
+  let failing i = 200 + i in
+  for r = 0 to 15 do
+    for i = 0 to nkernels - 1 do
+      call i (if (r + i) mod 4 = 0 then failing i else r + i)
+    done
+  done;
+  (* settle: failing calls retire the guards still planted, and the
+     re-promoted kernels install without them *)
+  for _ = 1 to 4 do
+    for i = 0 to nkernels - 1 do
+      call i (failing i)
+    done;
+    Bgjit.drain pool
+  done;
+  let ms =
+    List.init nkernels (fun i ->
+        Mini.Front.find_function p (Printf.sprintf "k%d" i))
+  in
+  List.iter
+    (fun m ->
+      check_bool (m.mname ^ " compiled") true
+        (match m.mtier with Tier_compiled _ -> true | _ -> false);
+      check_int (m.mname ^ ": one logged pc") 1 (List.length m.mtraps))
+    ms;
+  let d0 = rt.tiering.t_deopts in
+  for i = 0 to nkernels - 1 do
+    call i (failing i)
+  done;
+  check_int "no guard left to fail" d0 rt.tiering.t_deopts;
+  (* racing compiles: speculate plants journaled after the method's first
+     deopt *)
+  let racing =
+    List.fold_left
+      (fun acc m ->
+        let _, n =
+          List.fold_left
+            (fun (deopted, n) d ->
+              match d.Forensics.d_action with
+              | Forensics.Deopt _ -> (true, n)
+              | Forensics.Guard_plant { tag = "speculate"; _ } when deopted ->
+                (deopted, n + 1)
+              | _ -> (deopted, n))
+            (false, 0) (Forensics.for_mid m.mid)
+        in
+        acc + n)
+      0 ms
+  in
+  check_bool
+    (Printf.sprintf "deopts %d <= %d sites + %d racing compiles" d0 nkernels
+       racing)
+    true
+    (d0 <= nkernels + racing);
+  check_int "nothing blacklisted" 0 (Bgjit.stats pool).Bgjit.s_blacklisted
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -257,4 +353,5 @@ let suite =
     Alcotest.test_case "stale-never-installs" `Quick test_stale_never_installs;
     Alcotest.test_case "saturation-coalesces" `Quick test_saturation_coalesces;
     Alcotest.test_case "async-recompile" `Quick test_async_recompile;
+    Alcotest.test_case "trap-log-stress" `Quick test_trap_log_stress;
   ]

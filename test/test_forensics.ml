@@ -48,7 +48,9 @@ let test_bounded () =
 
 (* ------------------------------------------------------------------ *)
 (* Causal chain for a forced deopt loop: promote -> compile -> install
-   -> repeated deopts, each deopt attributed to its guard and line.     *)
+   -> repeated deopts, each deopt attributed to its guard and line.  The
+   loop needs a guard the trap log does not retire: a [slowpath] exit is
+   planted by every compile (a failed [speculate] is not).             *)
 
 let spec_src =
   {|
@@ -56,10 +58,16 @@ def spec(x: int): int =
   if (Lancet.speculate(x < 100)) x * 2 + 1 else x * 1000
 |}
 
+let slowpath_src =
+  {|
+def spec(x: int): int =
+  if (x < 100) x * 2 + 1 else { Lancet.slowpath(); x * 1000 }
+|}
+
 let test_deopt_loop_chain () =
   with_journal (fun () ->
       let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:1 () in
-      let p = Mini.Front.load rt spec_src in
+      let p = Mini.Front.load rt slowpath_src in
       check_value "warm" (Int 11) (Mini.Front.call p "spec" [| Int 5 |]);
       check_value "warm" (Int 15) (Mini.Front.call p "spec" [| Int 7 |]);
       for _ = 1 to 5 do
@@ -125,7 +133,7 @@ let test_deopt_loop_chain () =
       | Some pc ->
         check_bool "explain surfaces the cause at the deopt site" true
           (List.exists
-             (fun c -> contains c "speculate")
+             (fun c -> contains c "slowpath")
              (Lancet.Explain.deopt_causes m.mid pc))
       | None -> Alcotest.fail "no deopt journaled");
       let paths = Forensics.detect () in

@@ -37,12 +37,14 @@ def hot(n: int, seed: int): int = {
 (* ------------------------------------------------------------------ *)
 (* Deopt-loop circuit breaker: K strikes on one guard demote the method
    behind an exponential hotness bar; exhausted backoff blacklists it.
-   Results must track the interpreter at every step.                    *)
+   Results must track the interpreter at every step.  The guard is a
+   [slowpath] exit, which every compile plants again (a failed
+   [speculate] is retired by the trap log and cannot loop).            *)
 
 let spec_src =
   {|
 def spec(x: int): int =
-  if (Lancet.speculate(x < 100000)) x * 3 + 1 else x - 7
+  if (x < 100000) x * 3 + 1 else { Lancet.slowpath(); x - 7 }
 |}
 
 let test_circuit_breaker () =

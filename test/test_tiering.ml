@@ -123,7 +123,9 @@ let test_matches_interpreter () =
 
 (* ------------------------------------------------------------------ *)
 (* Deoptimization: a failing speculation side-exits into the interpreter
-   with the right frame state, producing the interpreter's answer. *)
+   with the right frame state, producing the interpreter's answer.  The
+   failure goes into the method's trap log, so the recompile emits a plain
+   branch at that site and later failing calls no longer deopt. *)
 
 let spec_src =
   {|
@@ -131,20 +133,86 @@ def spec(x: int): int =
   if (Lancet.speculate(x < 100)) x * 2 + 1 else x * 1000
 |}
 
+(* side exits tagged [tag] among the reachable blocks of [g] *)
+let count_exits tag (g : Lms.Ir.graph) =
+  List.length
+    (List.filter
+       (fun (b : Lms.Ir.block) ->
+         match b.Lms.Ir.term with
+         | Lms.Ir.Exit se -> String.equal se.Lms.Ir.se_tag tag
+         | _ -> false)
+       (Lms.Ir.reachable_blocks g))
+
 let test_speculate_deopt () =
+  Forensics.enable ();
+  Fun.protect ~finally:Forensics.disable @@ fun () ->
   let rt = boot_tiered ~threshold:1 () in
   let p = Mini.Front.load rt spec_src in
+  let plain = Vm.Natives.boot () in
+  let pp = Mini.Front.load plain spec_src in
   check_value "fast path" (Int 11) (Mini.Front.call p "spec" [| Int 5 |]);
   check_value "fast path again" (Int 15) (Mini.Front.call p "spec" [| Int 7 |]);
   check_int "compiled" 1 rt.tiering.t_compiles;
   check_int "no deopt yet" 0 rt.tiering.t_deopts;
   (* speculation fails: resume in the interpreter, same answer as interp *)
-  check_value "deopt result" (Int 500000)
-    (Mini.Front.call p "spec" [| Int 500 |]);
-  check_bool "deopt counted" true (rt.tiering.t_deopts >= 1);
-  (* the compiled entry point survives a deopt *)
-  check_value "fast path after deopt" (Int 11)
-    (Mini.Front.call p "spec" [| Int 5 |])
+  for i = 1 to 10 do
+    let x = 500 + i in
+    check_value
+      (Printf.sprintf "spec(%d) = interpreter" x)
+      (Mini.Front.call pp "spec" [| Int x |])
+      (Mini.Front.call p "spec" [| Int x |])
+  done;
+  check_int "one deopt, then the guard is retired" 1 rt.tiering.t_deopts;
+  check_int "warm compile + one recompile" 2 rt.tiering.t_compiles;
+  let m = Mini.Front.find_function p "spec" in
+  check_int "one pc in the trap log" 1 (List.length m.mtraps);
+  (* the recompile planted no speculate guard: the journal holds the warm
+     compile's plant only *)
+  let plants =
+    List.filter
+      (fun d ->
+        match d.Forensics.d_action with
+        | Forensics.Guard_plant { tag = "speculate"; _ } -> true
+        | _ -> false)
+      (Forensics.for_mid m.mid)
+  in
+  check_int "speculate guard planted once" 1 (List.length plants);
+  let spec = [| Lancet.Compiler.Dyn |] in
+  let feedback =
+    { Lancet.Compiler.default_options with Lancet.Compiler.feedback = true }
+  in
+  let exits ?opts () =
+    count_exits "speculate" (fst (Lancet.Compiler.stage ?opts rt m spec))
+  in
+  check_int "no speculate exit in a feedback graph" 0 (exits ~opts:feedback ());
+  check_int "explicit staging still plants the guard" 1 (exits ());
+  (* the recompiled entry point serves both sides *)
+  check_value "fast path after recompile" (Int 11)
+    (Mini.Front.call p "spec" [| Int 5 |]);
+  check_int "still one deopt" 1 rt.tiering.t_deopts
+
+(* An explicit [Lancet.compile] keeps the paper's semantics: its guard is
+   not fed back, so every failing call deopts, tiering on or not. *)
+let explicit_spec_src =
+  {|
+def mk(): (int) -> int =
+  Lancet.compile(fun (x: int) =>
+    if (Lancet.speculate(x < 100)) x * 2 + 1 else x * 1000)
+|}
+
+let test_explicit_speculate_deopts () =
+  let rt = boot_tiered ~threshold:1 () in
+  let p = Mini.Front.load rt explicit_spec_src in
+  let f = Mini.Front.call p "mk" [| |] in
+  let call x = Vm.Interp.call_closure rt f [| Int x |] in
+  check_value "fast path" (Int 11) (call 5);
+  let d0 = !Lancet.Compiler.count_deopts in
+  for i = 1 to 10 do
+    check_value "off-speculation" (Int ((500 + i) * 1000)) (call (500 + i))
+  done;
+  check_int "every failing call deopts" 10
+    (!Lancet.Compiler.count_deopts - d0);
+  check_int "no tier-1 deopt" 0 rt.tiering.t_deopts
 
 (* stable: a changed stable value triggers a `Recompile side exit — the
    method is rebuilt against the new value and stays in the cache. *)
@@ -298,6 +366,8 @@ let suite =
     Alcotest.test_case "disabled" `Quick test_disabled;
     Alcotest.test_case "matches-interpreter" `Quick test_matches_interpreter;
     Alcotest.test_case "speculate-deopt" `Quick test_speculate_deopt;
+    Alcotest.test_case "explicit-speculate-deopts" `Quick
+      test_explicit_speculate_deopts;
     Alcotest.test_case "stable-recompile" `Quick test_stable_recompile;
     Alcotest.test_case "invalidation" `Quick test_invalidation;
     Alcotest.test_case "eviction" `Quick test_eviction;
