@@ -1067,7 +1067,8 @@ let dispatch_interp_make ~ic ~nrecv ~iters =
 
 (* One feedback-directed compile of the driver.  [`Guarded]: mono profile,
    no CHA help -> class-id guard + direct call with a deopt side exit.
-   [`Cha]: static hint + no overrides -> unguarded direct call.  [`Poly]:
+   [`Cha]: static hint + no overrides -> direct call behind a receiver
+   null test, no class guard.  [`Poly]:
    3-entry dispatch chain.  [`Generic]: megamorphic profile -> residual
    generic dispatch.  Returns the checksum, a run thunk for timing and the
    compile's devirtualization deps (empty iff nothing was speculated). *)

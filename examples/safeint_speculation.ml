@@ -9,11 +9,11 @@ let () =
     let f = Lancet.Compiler.compile_value rt thunk in
     Vm.Value.to_str (Vm.Interp.call_closure rt f [||])
   in
-  let d0 = !Lancet.Compiler.count_deopts in
+  let d0 = Atomic.get Lancet.Compiler.count_deopts in
   Printf.printf "12! (no overflow, stays compiled)   = %s\n" (compiled_product 12);
-  Printf.printf "deopts so far: %d\n" (!Lancet.Compiler.count_deopts - d0);
+  Printf.printf "deopts so far: %d\n" (Atomic.get Lancet.Compiler.count_deopts - d0);
   Printf.printf "25! (overflows, deoptimizes to Big) = %s\n" (compiled_product 25);
-  Printf.printf "deopts so far: %d\n" (!Lancet.Compiler.count_deopts - d0);
+  Printf.printf "deopts so far: %d\n" (Atomic.get Lancet.Compiler.count_deopts - d0);
   match !Lancet.Compiler.last_graph with
   | Some g ->
     let s = Lms.Pretty.graph_to_string g in

@@ -17,6 +17,7 @@ module B = Lms.Builder
 type rep = Ir.sym
 
 module IntMap = Map.Make (Int)
+module IntSet = Set.Make (Int)
 
 module PairMap = Map.Make (struct
   type t = int * int
@@ -33,9 +34,12 @@ type heap = {
   virtuals : vobj IntMap.t; (* virtual object id -> abstract fields *)
   mat : rep IntMap.t; (* virtual object id -> materialized pointer *)
   over : rep PairMap.t; (* (static oid, field idx) -> forwarded value *)
+  nonnull : IntSet.t; (* reps a receiver null guard passed on this path *)
 }
 
-let empty_heap = { virtuals = IntMap.empty; mat = IntMap.empty; over = PairMap.empty }
+let empty_heap =
+  { virtuals = IntMap.empty; mat = IntMap.empty; over = PairMap.empty;
+    nonnull = IntSet.empty }
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic frames (the staged InterpreterFrame)                       *)
@@ -356,6 +360,7 @@ let isnull_s ctx x =
   | Absval.Const _ | Absval.Static _ | Absval.StaticArr _ | Absval.Partial _
   | Absval.Known _ ->
     lift_const ctx (Int 0)
+  | Absval.Unknown when IntSet.mem x ctx.heap.nonnull -> lift_const ctx (Int 0)
   | Absval.Unknown -> emit ctx Ir.IsNull [| x |] Ir.Tbool
 
 (* getfield: short-cut final fields of static objects, forwarded stores,
@@ -845,7 +850,12 @@ let merge_flows ctx ~with_slots (items : (snap * rep) list) : rep =
           IntMap.add vid (if all_same then m0 else p) acc)
         IntMap.empty mat_params
     in
-    ctx.heap <- { virtuals; mat; over };
+    let nonnull =
+      Array.fold_left
+        (fun acc k -> IntSet.inter acc (heap_of k).nonnull)
+        (heap_of 0).nonnull (Array.init nsides Fun.id)
+    in
+    ctx.heap <- { virtuals; mat; over; nonnull };
     if with_slots then begin
       for i = 0 to nloc - 1 do
         f.sf_locals.(i) <- merged_root i
@@ -1378,6 +1388,16 @@ and do_virtual ctx name argc hint site :
       match Vm.Classfile.resolve_virtual_opt cls name with
       | Some m ->
         add_devirt_dep ctx name;
+        (* a direct call (inlined or not) would skip the interpreter's
+           receiver null check; one guard per receiver and path *)
+        let recv = resolve ctx args.(0) in
+        let isnull = isnull_s ctx recv in
+        (match as_const ctx isnull with
+        | Some (Int 0) -> ()
+        | _ ->
+          guard_invoke ctx args ~tag:("null:" ^ name) ~continue_if:false isnull;
+          ctx.heap <-
+            { ctx.heap with nonnull = IntSet.add recv ctx.heap.nonnull });
         do_call ctx m args
       | None ->
         residual_virtual ctx name argc args;
@@ -1385,30 +1405,34 @@ and do_virtual ctx name argc hint site :
     | _ -> (
       (* type feedback: speculate on the receiver classes the interpreter's
          inline cache observed at this site (a single [cs_state] read gives
-         a consistent snapshot even against the mutator) *)
-      let profile =
-        if not ctx.opts.feedback then []
-        else
-          match site with
-          | None -> []
-          | Some s -> (
-            match s.cs_state with
-            | Ic_mono e -> [ (e.ice_cls, e.ice_meth) ]
-            | Ic_poly es ->
-              Array.to_list (Array.map (fun e -> (e.ice_cls, e.ice_meth)) es)
-            | Ic_empty | Ic_mega -> [])
+         a consistent snapshot even against the mutator); a megamorphic
+         site falls back on the classes below the static type *)
+      let state =
+        if ctx.opts.feedback then Option.map (fun s -> s.cs_state) site
+        else None
       in
-      match profile with
-      | [ entry ] ->
+      let profile =
+        match state with
+        | Some (Ic_mono e) -> [ (e.ice_cls, e.ice_meth) ]
+        | Some (Ic_poly es) ->
+          Array.to_list (Array.map (fun e -> (e.ice_cls, e.ice_meth)) es)
+        | Some Ic_mega -> (
+          match hint with
+          | Some cls -> hierarchy_targets ctx.rt cls name
+          | None -> [])
+        | Some Ic_empty | None -> []
+      in
+      match (state, profile) with
+      | Some (Ic_mono _), [ entry ] ->
         add_devirt_dep ctx name;
         do_speculate_mono ctx name args entry
-      | _ :: _ as entries ->
+      | _, (_ :: _ as entries) ->
         (* a dispatch chain beats generic dispatch but is still a declined
            monomorphic devirtualization — worth a coach record *)
         if !Irtrace.on then record_devirt_decline ctx name site;
         add_devirt_dep ctx name;
         do_dispatch_chain ctx name argc args entries
-      | [] ->
+      | _, [] ->
         Errors.warn "devirtualize" "could not devirtualize call to %s" name;
         if !Irtrace.on then record_devirt_decline ctx name site;
         residual_virtual ctx name argc args;
@@ -1437,10 +1461,21 @@ and record_devirt_decline ctx name site =
    retrains the inline cache. *)
 and do_speculate_mono ctx name args ((cls : cls), (m : meth)) :
     [ `Ok | `Dead | `Done of [ `Arrived | `Dead ] ] =
+  let cid = emit ctx Ir.ClassId [| resolve ctx args.(0) |] Ir.Tint in
+  guard_invoke ctx args
+    ~tag:(Printf.sprintf "devirt:%s@%s" name cls.cname)
+    ~continue_if:true
+    (icmp_s ctx Eq cid (lift_const ctx (Int cls.cid)));
+  (* hit arm: direct call, eligible for inlining *)
+  do_call ctx m args
+
+(* Branch on [cond] at an invoke whose arguments [args] are already
+   popped: staging continues on the [continue_if] arm; the other arm
+   rebuilds the frame as of the invoke (arguments re-pushed) and exits to
+   tier 0, which redoes the dispatch itself. *)
+and guard_invoke ctx args ~tag ~continue_if cond =
   let f = ctx.frame in
   let invoke_pc = f.sf_pc - 1 (* sf_pc already advanced past the invoke *) in
-  let cid = emit ctx Ir.ClassId [| resolve ctx args.(0) |] Ir.Tint in
-  let cond = icmp_s ctx Eq cid (lift_const ctx (Int cls.cid)) in
   let snap0 = save ctx in
   let fall_pc = f.sf_pc in
   let bt = B.new_block ctx.bld and bf = B.new_block ctx.bld in
@@ -1449,21 +1484,40 @@ and do_speculate_mono ctx name args ((cls : cls), (m : meth)) :
        ( cond,
          { tblock = bt.bid; targs = [||] },
          { tblock = bf.bid; targs = [||] } ));
-  (* miss arm: rebuild the frame as of the invoke and exit to tier 0 *)
-  restore ctx { snap0 with s_block = Some bf };
+  let stay, leave = if continue_if then (bt, bf) else (bf, bt) in
+  restore ctx { snap0 with s_block = Some leave };
   f.sf_pc <- invoke_pc;
   Array.iter (push ctx) args;
-  side_exit ctx ~kind:`Interpret
-    ~tag:(Printf.sprintf "devirt:%s@%s" name cls.cname)
-    ~extra:[];
-  (* hit arm: direct call, eligible for inlining *)
-  restore ctx { snap0 with s_block = Some bt };
-  f.sf_pc <- fall_pc;
-  do_call ctx m args
+  side_exit ctx ~kind:`Interpret ~tag ~extra:[];
+  restore ctx { snap0 with s_block = Some stay };
+  f.sf_pc <- fall_pc
 
-(* Polymorphic dispatch chain: one class-id compare per observed receiver
-   class with a direct call on each hit, falling through to generic
-   dispatch for receivers outside the profile; the arms merge like an
+(* The widest chain built for a megamorphic site. *)
+and mega_chain_limit = 8
+
+(* Class-hierarchy-complete targets for a megamorphic site: every loaded
+   class at or below the static receiver type [cls] that resolves [name],
+   with its target, in class-id order; [] when there are more than
+   [mega_chain_limit].  Background workers stage too, hence the lock. *)
+and hierarchy_targets rt (cls : cls) name =
+  let found =
+    Vm.Runtime.with_tier_lock rt (fun () ->
+        Hashtbl.fold
+          (fun _ c acc ->
+            if Vm.Classfile.is_subclass c cls then
+              match Vm.Classfile.resolve_virtual_opt c name with
+              | Some m -> (c, m) :: acc
+              | None -> acc
+            else acc)
+          rt.classes [])
+  in
+  if List.length found > mega_chain_limit then []
+  else List.sort (fun ((a : cls), _) ((b : cls), _) -> compare a.cid b.cid) found
+
+(* Dispatch chain: one class-id compare per receiver class (observed by a
+   polymorphic inline cache, or every class below the static type at a
+   megamorphic site) with a direct call on each hit, falling through to
+   generic dispatch for any other receiver; the arms merge like an
    ordinary conditional. *)
 and do_dispatch_chain ctx name argc args entries :
     [ `Ok | `Dead | `Done of [ `Arrived | `Dead ] ] =
@@ -1473,7 +1527,12 @@ and do_dispatch_chain ctx name argc args entries :
     let v = pop ctx in
     arrivals := (save ctx, v) :: !arrivals
   in
-  let rec arm = function
+  (* an inlined arm leaves its callee's provenance behind; the next
+     compare and the generic arm belong to the invoke *)
+  let prov = ctx.bld.B.cur_prov in
+  let rec arm entries =
+    B.set_prov ctx.bld prov;
+    match entries with
     | [] ->
       (* off-profile receiver: generic dispatch, always correct *)
       residual_virtual ctx name argc args;
@@ -1812,8 +1871,10 @@ let () =
                 Vm.Interp.resume rt frame))
       | _ -> None)
 
-let count_deopts = ref 0
-let count_recompiles = ref 0
+(* Bumped from side exits on any domain (JIT workers run compiled code
+   too), hence atomic. *)
+let count_deopts = Atomic.make 0
+let count_recompiles = Atomic.make 0
 
 (* Backend hooks for the explicit entry points: side exits count, run the
    recompilation callback for [`Recompile], and resume interpretation. *)
@@ -1822,10 +1883,10 @@ let deopt_hooks rt ~(recompile : unit -> unit) =
     (Lms.Closure_backend.default_hooks rt) with
     Lms.Closure_backend.on_exit =
       (fun se vals ->
-        incr count_deopts;
+        Atomic.incr count_deopts;
         (match se.Ir.se_kind with
         | `Recompile ->
-          incr count_recompiles;
+          Atomic.incr count_recompiles;
           recompile ()
         | `Interpret -> ());
         Vm.Interp.resume rt (reconstruct_frames se vals));

@@ -534,9 +534,10 @@ let miss_suggestion (m : Irtrace.missed) =
   | Irtrace.Devirt_declined { callee; ic_state } ->
     if ic_state = "mega" then
       Printf.sprintf
-        "the '%s' site is megamorphic, so the JIT emits generic dispatch; \
-         split the call site per receiver class to re-enable guarded direct \
-         calls" callee
+        "the '%s' site is megamorphic: the JIT emits a class-id chain over \
+         the classes below the static type when there are at most %d, \
+         otherwise generic dispatch; split the call site per receiver class \
+         to re-enable guarded direct calls" callee Compiler.mega_chain_limit
     else if String.length ic_state >= 4 && String.sub ic_state 0 4 = "poly"
     then
       Printf.sprintf

@@ -43,10 +43,12 @@ let default_hooks rt =
     call_static = (fun m args -> Vm.Interp.call rt m args);
     call_virtual =
       (fun name args ->
+        (* the interpreter's traps, without its location *)
         match args.(0) with
         | Vm.Types.Obj o ->
           Vm.Interp.call rt (Vm.Classfile.resolve_virtual o.Vm.Types.ocls name) args
-        | _ -> Vm.Types.vm_error "virtual call %s on non-object" name);
+        | Vm.Types.Null -> Vm.Types.vm_error "null receiver for %s" name
+        | _ -> Vm.Types.vm_error "invokevirtual %s on non-object" name);
     call_closure = (fun f args -> Vm.Interp.call_closure rt f args);
     on_exit =
       (fun se _ ->

@@ -300,10 +300,13 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
     if not (Hashtbl.mem fused c) then None
     else
       let n = node g c in
-      match (n.op, (node g n.args.(0)).op, (node g n.args.(1)).op) with
-      | Icmp Eq, ClassId, Konst (Int k) when Hashtbl.mem fused n.args.(0) ->
-        Some ((node g n.args.(0)).args.(0), k)
-      | _ -> None
+      match n.op with
+      | Icmp Eq -> (
+        match ((node g n.args.(0)).op, (node g n.args.(1)).op) with
+        | ClassId, Konst (Int k) when Hashtbl.mem fused n.args.(0) ->
+          Some ((node g n.args.(0)).args.(0), k)
+        | _ -> None)
+      | _ -> None (* a fused IsNull has one operand *)
   in
   (* Irtrace: report branch compares that could not fuse, and snapshot the
      post-guard-lowering shape with fused nodes eliminated. *)
@@ -613,29 +616,36 @@ let compile ?hooks (g : graph) : Vm.Types.value array -> Vm.Types.value =
       Array.iter emit (jump_moves t);
       superblock sb (idx_of t.tblock)
     | Br (c, t1, t2) when spliceable i t1 && exit_only t2 <> None ->
-      let cp2 = seq (jump_moves t2) in
-      let exit_run = compile_exit (Option.get (exit_only t2)) in
-      let miss r =
-        cp2 r;
-        ret_val := exit_run r;
-        raise Guard_miss
-      in
-      (* the devirtualization shape is a single-closure guard: receiver
-         slot -> class-id compare, no nested calls on the hit path *)
-      emit
-        (match cid_eq c with
-        | Some (recv, k) ->
-          let a = operand sb Lval recv in
-          fun r ->
-            (match r.vals.(a) with
-            | Obj o when o.ocls.cid = k -> ()
-            | _ -> miss r)
-        | None ->
-          let ok = cond sb c in
-          fun r -> if not (ok r) then miss r);
-      Array.iter emit (jump_moves t1);
-      superblock sb (idx_of t1.tblock)
+      guard sb c ~stay_if:true ~stay:t1 ~leave:t2
+    | Br (c, t1, t2) when spliceable i t2 && exit_only t1 <> None ->
+      guard sb c ~stay_if:false ~stay:t2 ~leave:t1
     | term -> terminator sb i term
+  (* a guard step: the hot path stays in the superblock while [c] is
+     [stay_if]; the other arm is a bare side exit *)
+  and guard sb c ~stay_if ~stay ~leave =
+    let emit (st : step) = sb.steps <- st :: sb.steps in
+    let cp = seq (jump_moves leave) in
+    let exit_run = compile_exit (Option.get (exit_only leave)) in
+    let miss r =
+      cp r;
+      ret_val := exit_run r;
+      raise Guard_miss
+    in
+    (* the devirtualization shape is a single-closure guard: receiver
+       slot -> class-id compare, no nested calls on the hit path *)
+    emit
+      (match cid_eq c with
+      | Some (recv, k) when stay_if ->
+        let a = operand sb Lval recv in
+        fun r ->
+          (match r.vals.(a) with
+          | Obj o when o.ocls.cid = k -> ()
+          | _ -> miss r)
+      | _ ->
+        let ok = cond sb c in
+        fun r -> if ok r <> stay_if then miss r);
+    Array.iter emit (jump_moves stay);
+    superblock sb (idx_of stay.tblock)
   and terminator sb my_idx term : regs -> int =
     let arm (t : target) : regs -> int =
       let nxt = idx_of t.tblock in

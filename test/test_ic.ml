@@ -358,6 +358,242 @@ let test_cha_caches () =
   check_value "base" (Int 1) (Interp.call rt call [| Obj (Runtime.alloc rt base) |]);
   check_value "override" (Int 2) (Interp.call rt call [| Obj (Runtime.alloc rt sub) |])
 
+(* ------------------------------------------------------------------ *)
+(* A CHA direct call keeps the interpreter's receiver null check: one
+   guard per receiver and path, whose side exit lets the interpreter
+   raise the trap.                                                      *)
+
+let test_cha_null_guard () =
+  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:1_000_000 () in
+  let p =
+    Mini.Front.load rt
+      {|class Pt {
+  var x: int
+  def init(x: int): unit = { this.x = x }
+  def m(): int = 7
+}
+def two(p: Pt): int = p.m() + p.m()
+def mk(): Pt = new Pt(1)|}
+  in
+  let two = Mini.Front.find_function p "two" in
+  let opts = { Lancet.Compiler.default_options with Lancet.Compiler.feedback = true } in
+  let g = fst (Lancet.Compiler.stage ~opts rt two [| Lancet.Compiler.Dyn |]) in
+  let null_exits =
+    List.filter
+      (fun (b : Lms.Ir.block) ->
+        match b.Lms.Ir.term with
+        | Lms.Ir.Exit se -> String.starts_with ~prefix:"null:" se.Lms.Ir.se_tag
+        | _ -> false)
+      (Lms.Ir.reachable_blocks g)
+  in
+  check_int "one null guard for two calls" 1 (List.length null_exits);
+  (match Vm.Runtime.tier_promote rt two with
+  | Some _ -> ()
+  | None -> Alcotest.fail "two did not compile");
+  check_value "object receiver" (Int 14) (Mini.Front.call p "two" [| Mini.Front.call p "mk" [||] |]);
+  match Mini.Front.call p "two" [| Null |] with
+  | v -> Alcotest.failf "null receiver returned %s" (Vm.Value.to_string v)
+  | exception Vm_error msg ->
+    check_string "the interpreter's trap" "null receiver for m" (Util.trap_message msg)
+
+(* ------------------------------------------------------------------ *)
+(* Megamorphic sites under tier-1 compiles: when the static receiver
+   type has at most [mega_chain_limit] classes that resolve the method,
+   the site becomes a class-id chain over all of them (class-hierarchy
+   complete) with generic dispatch as the last arm.                     *)
+
+(* [Op] plus one subclass per entry of [subs]: [Some body] overrides
+   [ap] with that body, [None] inherits it.  [ops n] builds one receiver
+   of each of the first [n] classes. *)
+let hier_src subs =
+  let cls i body =
+    Printf.sprintf "class OpC%d extends Op {%s}\n" i
+      (match body with
+      | Some e -> Printf.sprintf " def ap(x: int): int = %s " e
+      | None -> " ")
+  in
+  let mk_arms =
+    String.concat ""
+      (List.mapi
+         (fun i _ -> Printf.sprintf "  if (c == %d) { o = new OpC%d(k) };\n" (i + 1) i)
+         subs)
+  in
+  Printf.sprintf
+    {|class Op {
+  var k: int
+  def init(k: int): unit = { this.k = k }
+  def ap(x: int): int = x + this.k
+}
+%sdef mk(c: int, k: int): Op = {
+  var o: Op = new Op(k);
+%s  o
+}
+def ops(n: int): array[Op] = {
+  val a = new array[Op](n);
+  for (c <- 0 until n) { a[c] = mk(c, c + 2) };
+  a
+}
+def run(a: array[Op], n: int): int = {
+  var acc = 0;
+  for (i <- 0 until n) { acc = (acc + a[i %% a.length].ap(i)) %% 1000003 };
+  acc
+}
+|}
+    (String.concat "" (List.mapi cls subs))
+    mk_arms
+
+let five_subs =
+  [ Some "x * this.k"; Some "x - this.k"; Some "x * 3 + this.k"; None ]
+
+let graph_nodes (g : Lms.Ir.graph) =
+  List.concat_map (fun (b : Lms.Ir.block) -> b.Lms.Ir.body) (Lms.Ir.reachable_blocks g)
+
+let count_op p g = List.length (List.filter (fun n -> p n.Lms.Ir.op) (graph_nodes g))
+
+let is_callvirt = function Lms.Ir.CallVirtual ("ap", _) -> true | _ -> false
+let is_classid = function Lms.Ir.ClassId -> true | _ -> false
+
+(* compares of the receiver's class id: one per chained class *)
+let classid_compares g =
+  let nodes = graph_nodes g in
+  let cids =
+    List.filter_map
+      (fun n -> if is_classid n.Lms.Ir.op then Some n.Lms.Ir.id else None)
+      nodes
+  in
+  List.filter
+    (fun n ->
+      (match n.Lms.Ir.op with Lms.Ir.Icmp Eq -> true | _ -> false)
+      && Array.exists (fun a -> List.mem a cids) n.Lms.Ir.args)
+    nodes
+
+(* Train [run]'s site on [n] receiver classes in a runtime that promotes
+   nothing on its own; returns the program, [run] and the receivers. *)
+let train_mega subs n =
+  let rt = Lancet.Api.boot ~tiering:true ~tier_threshold:1_000_000 () in
+  let p = Mini.Front.load rt (hier_src subs) in
+  let run = Mini.Front.find_function p "run" in
+  let a = Mini.Front.call p "ops" [| Int n |] in
+  ignore (Mini.Front.call p "run" [| a; Int 40 |]);
+  check_string "site trained megamorphic" "mega"
+    (Inlinecache.state_string (driver_site rt run));
+  (rt, p, run, a)
+
+let feedback_graph rt run =
+  let opts = { Lancet.Compiler.default_options with Lancet.Compiler.feedback = true } in
+  fst (Lancet.Compiler.stage ~opts rt run [| Lancet.Compiler.Dyn; Lancet.Compiler.Dyn |])
+
+let interp_run subs n iters =
+  let pure = Lancet.Api.boot () in
+  let p = Mini.Front.load pure (hier_src subs) in
+  Mini.Front.call p "run" [| Mini.Front.call p "ops" [| Int n |]; Int iters |]
+
+let test_mega_cha_chain () =
+  let rt, p, run, a = train_mega five_subs 5 in
+  let g = feedback_graph rt run in
+  check_int "one class-id compare per class" 5 (List.length (classid_compares g));
+  check_int "one generic call" 1 (count_op is_callvirt g);
+  (* the generic call is the else arm of the chain's last compare *)
+  let blocks = Lms.Ir.reachable_blocks g in
+  let generic =
+    List.find
+      (fun (b : Lms.Ir.block) ->
+        List.exists (fun n -> is_callvirt n.Lms.Ir.op) b.Lms.Ir.body)
+      blocks
+  in
+  let compares = List.map (fun n -> n.Lms.Ir.id) (classid_compares g) in
+  check_bool "generic call is the last arm" true
+    (List.exists
+       (fun (b : Lms.Ir.block) ->
+         match b.Lms.Ir.term with
+         | Lms.Ir.Br (c, _, f) ->
+           List.mem c compares && f.Lms.Ir.tblock = generic.Lms.Ir.bid
+         | _ -> false)
+       blocks);
+  (* run the tier-1 code: no [ap] is entered, compiled or interpreted *)
+  (match Vm.Runtime.tier_promote rt run with
+  | Some _ -> ()
+  | None -> Alcotest.fail "run did not compile");
+  let callees =
+    List.filter_map
+      (fun (c : cls) -> Classfile.own_method_opt c "ap")
+      (Hashtbl.fold (fun _ c acc -> c :: acc) rt.classes [])
+  in
+  check_int "four own ap methods" 4 (List.length callees);
+  let calls0 = List.map (fun m -> m.mcalls) callees in
+  let steps0 = rt.interp_steps and compiles0 = rt.tiering.t_compiles in
+  List.iter
+    (fun iters ->
+      check_value "compiled = pure interpreter" (interp_run five_subs 5 iters)
+        (Mini.Front.call p "run" [| a; Int iters |]))
+    [ 1; 7; 40; 123 ];
+  check_bool "no ap entered" true (calls0 = List.map (fun m -> m.mcalls) callees);
+  check_int "nothing interpreted" steps0 rt.interp_steps;
+  check_int "nothing compiled" compiles0 rt.tiering.t_compiles;
+  check_bool "ap stays cold" true
+    (List.for_all (fun m -> match m.mtier with Tier_cold -> true | _ -> false) callees)
+
+let test_mega_cha_late_override () =
+  let rt, p, run, a = train_mega five_subs 5 in
+  (match Vm.Runtime.tier_promote rt run with
+  | Some _ -> ()
+  | None -> Alcotest.fail "run did not compile");
+  check_value "compiled = pure interpreter" (interp_run five_subs 5 50)
+    (Mini.Front.call p "run" [| a; Int 50 |]);
+  let gen0 = Vm.Runtime.tier_gen rt run.mid in
+  (* OpC3 inherited [ap] from Op and sits in the chain with Op's target *)
+  let c3 = Classfile.find_class rt "OpC3" in
+  ignore
+    (Assembler.define_method rt c3 ~name:"ap" ~nargs:1 (fun b ->
+         Assembler.emit b (Load 1);
+         Assembler.emit b (Const (Int 1000));
+         Assembler.emit b (Iop Mul);
+         Assembler.emit b Retv));
+  check_bool "compiled run invalidated" true (Vm.Runtime.tier_gen rt run.mid > gen0);
+  check_bool "run no longer compiled" true
+    (match run.mtier with Tier_compiled _ -> false | _ -> true);
+  let overridden = List.mapi (fun i s -> if i = 3 then Some "x * 1000" else s) five_subs in
+  List.iter
+    (fun iters ->
+      check_value "follows the interpreter" (interp_run overridden 5 iters)
+        (Mini.Front.call p "run" [| a; Int iters |]))
+    [ 5; 50 ];
+  (* and so does the recompile against the new hierarchy *)
+  (match Vm.Runtime.tier_promote rt run with
+  | Some _ -> ()
+  | None -> Alcotest.fail "run did not recompile");
+  check_value "recompiled = interpreter" (interp_run overridden 5 77)
+    (Mini.Front.call p "run" [| a; Int 77 |])
+
+let test_mega_cha_limit () =
+  let subs n = List.init n (fun i -> Some (Printf.sprintf "x * %d + this.k" (i + 2))) in
+  (* eight classes below the hint: chained *)
+  let rt, _, run, _ = train_mega (subs 7) 5 in
+  let g = feedback_graph rt run in
+  check_int "eight classes: eight compares" 8 (List.length (classid_compares g));
+  check_int "eight classes: one generic arm" 1 (count_op is_callvirt g);
+  (* nine: a bare generic call *)
+  let rt, _, run, _ = train_mega (subs 8) 5 in
+  let g = feedback_graph rt run in
+  check_int "nine classes: no class-id chain" 0 (count_op is_classid g);
+  check_int "nine classes: one generic call" 1 (count_op is_callvirt g)
+
+(* An explicit [Lancet.compile] has no feedback: the mega site stays a
+   bare generic call. *)
+let test_mega_explicit_compile () =
+  let rt, _, run, a = train_mega five_subs 5 in
+  let f =
+    Lancet.Compiler.compile_method rt run [| Lancet.Compiler.Dyn; Lancet.Compiler.Dyn |]
+  in
+  let g =
+    match !Lancet.Compiler.last_graph with
+    | Some g -> g
+    | None -> Alcotest.fail "no graph"
+  in
+  check_int "no class-id chain" 0 (count_op is_classid g);
+  check_int "one generic call" 1 (count_op is_callvirt g);
+  check_value "explicit = pure interpreter" (interp_run five_subs 5 33) (f [| a; Int 33 |])
+
 let suite =
   [
     Alcotest.test_case "ic-transitions" `Quick test_transitions;
@@ -366,4 +602,9 @@ let suite =
     Alcotest.test_case "guard-fail-deopt" `Quick test_guard_fail_deopts;
     Alcotest.test_case "bg-inflight-override" `Quick test_bg_inflight_override;
     Alcotest.test_case "cha-caches" `Quick test_cha_caches;
+    Alcotest.test_case "cha-null-guard" `Quick test_cha_null_guard;
+    Alcotest.test_case "mega-cha-chain" `Quick test_mega_cha_chain;
+    Alcotest.test_case "mega-cha-late-override" `Quick test_mega_cha_late_override;
+    Alcotest.test_case "mega-cha-limit" `Quick test_mega_cha_limit;
+    Alcotest.test_case "mega-explicit-compile" `Quick test_mega_explicit_compile;
   ]

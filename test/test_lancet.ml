@@ -211,12 +211,12 @@ let test_speculate () =
        x + 1 else x * 1000"
   in
   let compiled, _ = compile_closure_of h "make" in
-  let d0 = !C.count_deopts in
+  let d0 = Atomic.get C.count_deopts in
   check_value "fast path" (Int 6) (compiled [| Int 5 |]);
-  check_int "no deopt on fast path" d0 !C.count_deopts;
+  check_int "no deopt on fast path" d0 (Atomic.get C.count_deopts);
   (* speculation fails: deoptimize into the interpreter, still correct *)
   check_value "slow path via interpreter" (Int 500000) (compiled [| Int 500 |]);
-  check_int "one deopt" (d0 + 1) !C.count_deopts
+  check_int "one deopt" (d0 + 1) (Atomic.get C.count_deopts)
 
 let test_slowpath_diverges_branch () =
   let h =
@@ -247,15 +247,15 @@ def make(): (int) -> int = fun (x: int) =>
   let compiled = C.compile_value rt clo in
   let call args = Vm.Interp.call_closure rt compiled args in
   check_value "stable true" (Int 11) (call [| Int 10 |]);
-  let r0 = !C.count_recompiles in
+  let r0 = Atomic.get C.count_recompiles in
   (* flip the mode: guard fails once, recompilation kicks in *)
   Vm.Runtime.set_global rt 0 (Int 2);
   check_value "after flip, correct result" (Int 9) (call [| Int 10 |]);
-  check_int "one recompile" (r0 + 1) !C.count_recompiles;
+  check_int "one recompile" (r0 + 1) (Atomic.get C.count_recompiles);
   (* subsequent calls run the recompiled fast path, no further deopts *)
-  let d = !C.count_deopts in
+  let d = Atomic.get C.count_deopts in
   check_value "recompiled result" (Int 9) (call [| Int 10 |]);
-  check_int "no new deopt" d !C.count_deopts
+  check_int "no new deopt" d (Atomic.get C.count_deopts)
 
 let test_inline_never_directive () =
   let h =

@@ -72,10 +72,10 @@ let test_safeint_compiled_no_overflow () =
   let rt, p = Safeint.boot () in
   let thunk = Mini.Front.call p "make_safe_sum" [| Int 100 |] in
   let compiled = Lancet.Compiler.compile_value rt thunk in
-  let d0 = !Lancet.Compiler.count_deopts in
+  let d0 = Atomic.get Lancet.Compiler.count_deopts in
   check_str "compiled sum" "5050"
     (Vm.Value.to_str (Vm.Interp.call_closure rt compiled [||]));
-  Alcotest.(check int) "no deopt" d0 !Lancet.Compiler.count_deopts;
+  Alcotest.(check int) "no deopt" d0 (Atomic.get Lancet.Compiler.count_deopts);
   (* compiled code never contains Big operations *)
   match !Lancet.Compiler.last_graph with
   | Some g ->
@@ -94,11 +94,11 @@ let test_safeint_compiled_overflow_deopts () =
      and the Big slow path computes the exact result *)
   let thunk = Mini.Front.call p "make_safe_product" [| Int 25 |] in
   let compiled = Lancet.Compiler.compile_value rt thunk in
-  let d0 = !Lancet.Compiler.count_deopts in
+  let d0 = Atomic.get Lancet.Compiler.count_deopts in
   check_str "exact 25!" "15511210043330985984000000"
     (Vm.Value.to_str (Vm.Interp.call_closure rt compiled [||]));
   Alcotest.(check bool) "deoptimized at overflow" true
-    (!Lancet.Compiler.count_deopts > d0)
+    (Atomic.get Lancet.Compiler.count_deopts > d0)
 
 let test_safeint_compiled_matches_interp () =
   let rt, p = Safeint.boot () in

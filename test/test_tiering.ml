@@ -206,12 +206,12 @@ let test_explicit_speculate_deopts () =
   let f = Mini.Front.call p "mk" [| |] in
   let call x = Vm.Interp.call_closure rt f [| Int x |] in
   check_value "fast path" (Int 11) (call 5);
-  let d0 = !Lancet.Compiler.count_deopts in
+  let d0 = Atomic.get Lancet.Compiler.count_deopts in
   for i = 1 to 10 do
     check_value "off-speculation" (Int ((500 + i) * 1000)) (call (500 + i))
   done;
   check_int "every failing call deopts" 10
-    (!Lancet.Compiler.count_deopts - d0);
+    (Atomic.get Lancet.Compiler.count_deopts - d0);
   check_int "no tier-1 deopt" 0 rt.tiering.t_deopts
 
 (* stable: a changed stable value triggers a `Recompile side exit — the
